@@ -372,15 +372,24 @@ def _cmd_chain(args, cfg, emitter):
             "mu": args.mu, "regime": args.regime}
 
     if args.action == "diagonalize":
-        ham = spin_chain.hamiltonian(chain)
-        herm = spin_chain.hermiticity_residual(ham)
-        evals = np.linalg.eigvals(ham)
-        evals = evals[np.argsort(evals.real)]
-        for idx, ev in enumerate(evals):
+        # H conserves total S^z (sector_blocks checks it), so its spectrum
+        # is the union of the sector spectra; one block is held at a time
+        evals, szs, sizes, herm = [], [], [], 0.0
+        for sz, block in spin_chain.sector_blocks(chain):
+            herm = max(herm, spin_chain.hermiticity_residual(block))
+            evals.append(np.linalg.eigvals(block))
+            szs.append(np.full(len(block), sz))
+            sizes.append(len(block))
+        evals, szs = np.concatenate(evals), np.concatenate(szs)
+        order = np.argsort(evals.real, kind="stable")
+        for idx, k in enumerate(order):
             emitter.emit(_record("chain diagonalize",
-                                 {**base, "index": idx}, value=ev))
+                                 {**base, "index": idx, "sz": szs[k]},
+                                 value=evals[k]))
         emitter.emit(_record("chain diagonalize",
-                             {**base, "part": "hermiticity"},
+                             {**base, "part": "hermiticity",
+                              "sectors": len(sizes),
+                              "largest_sector": max(sizes)},
                              residual=herm))
         return 0
 

@@ -59,3 +59,7 @@ class RepMismatch(DefectBetheError):
 
 class NotRealizable(DefectBetheError):
     """Requested object has no finite-dimensional realization."""
+
+
+class SectorLeakage(DefectBetheError):
+    """An operator expected to conserve total S^z couples two sectors."""

@@ -2,8 +2,9 @@
 
 Convention used throughout: Kronecker products put the 2-dimensional
 auxiliary space FIRST, so a Lax matrix is a 2x2 array of blocks acting on
-the quantum space.  All multi-space embeddings go through two_site_operator
-to keep orderings in one place.
+the quantum space.  Dense multi-space embeddings go through
+two_site_operator; the chain layer applies local factors in the same leg
+order without embedding them.
 """
 
 from __future__ import annotations
@@ -24,36 +25,17 @@ def two_site_operator(mat, dims, i, j):
     n = len(dims)
     di, dj = dims[i], dims[j]
     m = np.asarray(mat, dtype=complex).reshape(di, dj, di, dj)
-    # build as an einsum over kept-identity slots
-    total = int(np.prod(dims))
-    out = np.zeros((total, total), dtype=complex)
-    # index arithmetic: flatten row/col multi-indices with i, j replaced
     other = [k for k in range(n) if k not in (i, j)]
     other_dims = [dims[k] for k in other]
-    for oi in np.ndindex(*other_dims) if other_dims else [()]:
-        for a in range(di):
-            for b in range(dj):
-                for ap in range(di):
-                    for bp in range(dj):
-                        v = m[a, b, ap, bp]
-                        if v == 0:
-                            continue
-                        row = _flatten(dims, other, oi, i, a, j, b)
-                        col = _flatten(dims, other, oi, i, ap, j, bp)
-                        out[row, col] += v
-    return out
-
-
-def _flatten(dims, other, other_vals, i, a, j, b):
-    idx = [0] * len(dims)
-    for k, v in zip(other, other_vals):
-        idx[k] = v
-    idx[i] = a
-    idx[j] = b
-    flat = 0
-    for k, d in enumerate(dims):
-        flat = flat * d + idx[k]
-    return flat
+    eye = np.eye(int(np.prod(other_dims)), dtype=complex)
+    # axes: (row i, row j, col i, col j, rows of others, cols of others)
+    full = np.multiply.outer(m, eye.reshape(other_dims * 2))
+    row_axis = {i: 0, j: 1}
+    row_axis.update({k: 4 + t for t, k in enumerate(other)})
+    rows = [row_axis[k] for k in range(n)]
+    cols = [a + 2 if a < 2 else a + len(other) for a in rows]
+    total = int(np.prod(dims))
+    return full.transpose(rows + cols).reshape(total, total)
 
 
 def permutation_matrix():

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionCapExceeded, DomainError, NoConvergence,
-                     PoleError, SingularJacobian)
+                     PoleError, SectorLeakage, SingularJacobian)
 from .lax_operators import (d_defect_lax, d_r_matrix, defect_lax,
                             permutation_matrix, r_matrix, regularity_scale,
                             two_site_operator)
@@ -70,11 +70,14 @@ class ChainSpec:
     def hilbert_dim(self):
         return int(np.prod(self.site_dims))
 
-    def check_cap(self):
+    def check_cap(self, dim=None):
+        """Raise unless dim (default: the Hilbert dimension) fits the cap."""
+        dim = self.hilbert_dim if dim is None else dim
         cap = dimension_cap()
-        if self.hilbert_dim > cap:
+        if dim > cap:
             raise DimensionCapExceeded(
-                f"Hilbert dimension {self.hilbert_dim} exceeds cap {cap}")
+                f"dimension {dim} (Hilbert dimension {self.hilbert_dim}) "
+                f"exceeds cap {cap}")
 
     def defect_rep(self):
         return build_rep(self.defect_spin, self.params)
@@ -131,22 +134,38 @@ def string_seed(center, length, params=None, negative_parity=False):
 # ---------------------------------------------------------------------------
 
 
+def _apply_local(mat, dims, slots, x):
+    """Apply mat, acting on the factors `slots` of dims, to the rows of x.
+
+    mat's Kronecker factors follow the order of slots; x has prod(dims)
+    rows and is never embedded as a full operator.
+    """
+    k = len(slots)
+    local = [dims[s] for s in slots]
+    t = x.reshape(*dims, -1)
+    out = np.tensordot(mat.reshape(local * 2), t,
+                       axes=(list(range(k, 2 * k)), list(slots)))
+    return np.moveaxis(out, list(range(k)), list(slots)).reshape(x.shape)
+
+
 def monodromy(chain, lam):
     """Ordered product of site Lax matrices on aux x (site 1 .. site N+1).
 
     Site N+1 acts leftmost; the defect factor is evaluated at lam - theta.
+    Each factor is contracted into the (2D) x (2D) accumulator on its two
+    slots, so the cap is checked against 2D.
     """
-    chain.check_cap()
     dims = [2] + chain.site_dims
+    total = 2 * chain.hilbert_dim
+    chain.check_cap(total)
     rep = chain.defect_rep()
-    total = int(np.prod(dims))
     out = np.eye(total, dtype=complex)
     for k in range(1, chain.N + 2):
         if k == chain.defect_site:
             site = defect_lax(chain.params, rep, lam - chain.theta)
         else:
             site = r_matrix(chain.params, lam)
-        out = two_site_operator(site, dims, 0, k) @ out
+        out = _apply_local(site, dims, (0, k), out)
     return out
 
 
@@ -165,27 +184,23 @@ def pseudovacuum(chain):
     return v
 
 
-def hamiltonian(chain):
-    """Nearest-neighbour Hamiltonian with the defect spliced in.
+def _local_terms(chain):
+    """Minus the Hamiltonian as a list of (slots, matrix) local terms.
 
     Built from the transfer matrix's logarithmic derivative at the regular
     point: the two bonds touching the defect are replaced by a term in the
-    derivative of the defect Lax matrix and a conjugated bond that couples
-    the defect's neighbours directly.  Needs N >= 2 so those neighbours
-    are distinct sites.
+    derivative of the defect Lax matrix, on (next, n), and a conjugated
+    bond that couples the defect's neighbours directly, on (next, n, prev).
+    Needs N >= 2 so those neighbours are distinct sites.
     """
     if chain.N < 2:
         raise DomainError("hamiltonian needs N >= 2 bulk sites")
-    chain.check_cap()
     params = chain.params
-    dims = chain.site_dims
     n_sites = chain.N + 1
     n = chain.defect_site
     rep = chain.defect_rep()
-    s = regularity_scale(params)
 
-    p4 = permutation_matrix()
-    rdot = p4 @ d_r_matrix(params, 0.0)  # derivative of the braided R at 0
+    rdot = permutation_matrix() @ d_r_matrix(params, 0.0)  # braided R' at 0
 
     def idx(site):
         # periodic 1..N+1 labels to 0-based tensor slots
@@ -194,24 +209,108 @@ def hamiltonian(chain):
     prev_site = n - 1 if n > 1 else n_sites
     next_site = n + 1 if n < n_sites else 1
 
-    total = chain.hilbert_dim
-    h = np.zeros((total, total), dtype=complex)
-    for j in range(1, n_sites + 1):
-        if j in (prev_site, n):
-            continue  # bonds (n-1, n) and (n, n+1) are replaced below
-        j_right = j + 1 if j < n_sites else 1
-        h += two_site_operator(rdot, dims, idx(j), idx(j_right))
+    # bonds (n-1, n) and (n, n+1) are replaced by the two defect terms
+    terms = [((idx(j), idx(j + 1)), rdot) for j in range(1, n_sites + 1)
+             if j not in (prev_site, n)]
 
     m_loc = defect_lax(params, rep, -chain.theta)
-    mdot_loc = d_defect_lax(params, rep, -chain.theta)
-    m_full = two_site_operator(m_loc, dims, idx(next_site), idx(n))
-    mdot_full = two_site_operator(mdot_loc, dims, idx(next_site), idx(n))
-    m_inv = np.linalg.inv(m_full)
+    m_inv = np.linalg.inv(m_loc)
+    mdot = d_defect_lax(params, rep, -chain.theta)
+    terms.append(((idx(next_site), idx(n)),
+                  regularity_scale(params) * (mdot @ m_inv)))
 
-    h += s * (mdot_full @ m_inv)
-    bridged = two_site_operator(rdot, dims, idx(prev_site), idx(next_site))
-    h += m_full @ bridged @ m_inv
-    return -h
+    dims3 = [2, rep.dim, 2]  # (next, n, prev)
+    bridged = (two_site_operator(m_loc, dims3, 0, 1)
+               @ two_site_operator(rdot, dims3, 2, 0)
+               @ two_site_operator(m_inv, dims3, 0, 1))
+    terms.append(((idx(next_site), idx(n), idx(prev_site)), bridged))
+    return terms
+
+
+def _basis_offsets(dims, slots):
+    """Flat-index offsets of every basis state of the factors `slots`,
+    first slot most significant."""
+    strides = [int(np.prod(dims[k + 1:])) for k in range(len(dims))]
+    out = np.zeros(1, dtype=np.int64)
+    for k in slots:
+        out = np.add.outer(out, strides[k] * np.arange(dims[k])).ravel()
+    return out
+
+
+def _hamiltonian_coo(chain):
+    """H as COO arrays (rows, cols, vals) over the product basis.
+
+    Each local term is scattered with the identity on the other sites;
+    exact zeros are dropped, duplicates are left for the caller to sum.
+    The cap is checked against D.
+    """
+    terms = _local_terms(chain)
+    chain.check_cap()
+    dims = chain.site_dims
+    rows, cols, vals = [], [], []
+    for slots, mat in terms:
+        others = _basis_offsets(
+            dims, [k for k in range(len(dims)) if k not in slots])
+        local = _basis_offsets(dims, slots)
+        r, c = np.nonzero(mat)
+        rows.append((others[:, None] + local[r]).ravel())
+        cols.append((others[:, None] + local[c]).ravel())
+        vals.append(np.tile(-mat[r, c], others.size))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def hamiltonian(chain):
+    """Nearest-neighbour Hamiltonian with the defect spliced in, dense D x D.
+
+    The sum of the local terms of _local_terms, with a minus sign.
+    """
+    rows, cols, vals = _hamiltonian_coo(chain)
+    d = chain.hilbert_dim
+    h = np.zeros(d * d, dtype=complex)
+    np.add.at(h, rows * d + cols, vals)
+    return h.reshape(d, d)
+
+
+def total_sz(chain):
+    """Diagonal of total S^z on the product basis, as a length-D vector."""
+    out = np.zeros(1)
+    for d in chain.site_dims:
+        out = np.add.outer(out, (d - 1) / 2.0 - np.arange(d)).ravel()
+    return out
+
+
+def sector_blocks(chain):
+    """The Hamiltonian split by total S^z: an iterator of (sz, block).
+
+    Sectors come highest S^z first; a block's rows and columns are the
+    sector's basis states in product-basis order.  The local terms are
+    scattered and checked here; each dense block is only built when the
+    iterator reaches it, so one block is held at a time.  Raises
+    SectorLeakage if any term entry couples two different sectors.
+    """
+    rows, cols, vals = _hamiltonian_coo(chain)
+    key = np.rint(2.0 * total_sz(chain)).astype(np.int64)
+    row_key = key[rows]
+    leak = np.flatnonzero(row_key != key[cols])
+    if leak.size:
+        e = leak[0]
+        raise SectorLeakage(
+            f"{leak.size} Hamiltonian entries couple different S^z "
+            f"sectors, first ({rows[e]}, {cols[e]}) from "
+            f"{key[cols[e]] / 2} to {row_key[e] / 2}")
+    sectors, sizes = np.unique(key, return_counts=True)
+    # each basis state's position inside its own sector
+    pos = np.empty(key.size, dtype=np.int64)
+    for k, size in zip(sectors, sizes):
+        pos[key == k] = np.arange(size)
+
+    def block(k, size):
+        mask = row_key == k
+        out = np.zeros((size, size), dtype=complex)
+        np.add.at(out, (pos[rows[mask]], pos[cols[mask]]), vals[mask])
+        return k / 2.0, out
+
+    return map(block, sectors[::-1], sizes[::-1])
 
 
 def hermiticity_residual(mat):
@@ -348,20 +447,3 @@ def solve_bae(chain, M, seeds=None, tol=1e-12, max_iter=100,
 def magnon_sector_sz(chain, M):
     """Total z-spin of an M-magnon state: N/2 + S - M."""
     return chain.N / 2.0 + chain.defect_spin - M
-
-
-def total_sz_operator(chain):
-    """Diagonal total S^z on the chain's Hilbert space."""
-    dims = chain.site_dims
-    rep = chain.defect_rep()
-    total = chain.hilbert_dim
-    out = np.zeros((total, total), dtype=complex)
-    for k, d in enumerate(dims):
-        if d == 2:
-            local = np.diag([0.5, -0.5]).astype(complex)
-        else:
-            local = rep.Sz
-        eye_l = np.eye(int(np.prod(dims[:k])), dtype=complex)
-        eye_r = np.eye(int(np.prod(dims[k + 1:])), dtype=complex)
-        out += np.kron(eye_l, np.kron(local, eye_r))
-    return out

@@ -198,6 +198,26 @@ def test_chain_diagonalize_three_site(capsys):
                zip(evals, [-3.0] * 4 + [0.0] * 4)) < 1e-10
 
 
+def test_chain_diagonalize_reports_sectors(capsys):
+    # spin-1 defect at theta 0.3: S^z runs over 2, 1, ..., -2
+    code, out, _ = run_cli(capsys, [
+        "chain", "diagonalize", "--N", "2", "--spin", "1", "--theta", "0.3"])
+    assert code == 0
+    recs = json_lines(out)
+    herm = [r for r in recs if r["params"].get("part") == "hermiticity"]
+    assert len(herm) == 1
+    assert herm[0]["params"]["sectors"] == 5
+    assert herm[0]["params"]["largest_sector"] == 4
+    eig = [r for r in recs if "index" in r["params"]]
+    assert [r["params"]["index"] for r in eig] == list(range(12))
+    counts = {}
+    for r in eig:
+        counts[r["params"]["sz"]] = counts.get(r["params"]["sz"], 0) + 1
+    assert counts == {2.0: 1, 1.0: 3, 0.0: 4, -1.0: 3, -2.0: 1}
+    re = [r["re"] for r in eig]
+    assert re == sorted(re)
+
+
 def test_chain_respects_dimension_cap(capsys, monkeypatch):
     monkeypatch.setenv("DEFECTBETHE_MAX_DIM", "4")
     code, _, err = run_cli(capsys, [

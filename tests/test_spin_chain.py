@@ -5,20 +5,30 @@ are rebuilt inside the tests (arctangent phase balance, brentq), so solver
 and oracle share no code.
 """
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linear_sum_assignment
 
+from defectbethe import spin_chain
 from defectbethe.errors import (
     DimensionCapExceeded,
     DomainError,
     NoConvergence,
     PoleError,
+    SectorLeakage,
     SingularJacobian,
 )
-from defectbethe.lax_operators import defect_lax
+from defectbethe.lax_operators import (
+    d_defect_lax,
+    d_r_matrix,
+    defect_lax,
+    permutation_matrix,
+    regularity_scale,
+)
 from defectbethe.spin_algebra import ModelParameters, build_rep
 from defectbethe.spin_chain import (
     BetheState,
@@ -30,8 +40,9 @@ from defectbethe.spin_chain import (
     monodromy,
     pseudovacuum,
     solve_bae,
+    sector_blocks,
     string_seed,
-    total_sz_operator,
+    total_sz,
     transfer,
 )
 
@@ -73,6 +84,17 @@ def test_dimension_cap(monkeypatch, xxx):
     monkeypatch.setenv("DEFECTBETHE_MAX_DIM", "1")
     with pytest.raises(ValueError):
         chain.check_cap()
+
+
+def test_dimension_cap_counts_monodromy_accumulator(monkeypatch, xxx):
+    # H is D x D; the monodromy carries the auxiliary space, so 2D x 2D
+    chain = ChainSpec(N=2, defect_spin=1.0, params=xxx, theta=0.3)
+    monkeypatch.setenv("DEFECTBETHE_MAX_DIM", str(chain.hilbert_dim))
+    assert hamiltonian(chain).shape == (12, 12)
+    with pytest.raises(DimensionCapExceeded):
+        monodromy(chain, 0.3)
+    with pytest.raises(DimensionCapExceeded):
+        transfer(chain, 0.3)
 
 
 def test_bethe_state_validation():
@@ -156,7 +178,7 @@ def test_hamiltonian_conserves_total_sz(xxx, trig):
     for params in (xxx, trig):
         chain = ChainSpec(N=2, defect_spin=1.0, params=params, theta=0.6)
         h = hamiltonian(chain)
-        assert comm_norm(h, total_sz_operator(chain)) < 1e-12
+        assert comm_norm(h, np.diag(total_sz(chain))) < 1e-12
 
 
 def test_hamiltonian_hermitian_at_zero_rapidity(xxx):
@@ -207,10 +229,127 @@ def test_one_magnon_energy_four_site_chain(xxx):
     target = e_vac + 1.0 / (abs(lam) ** 2 + 0.25)
 
     vals, vecs = np.linalg.eigh(h)
-    sz = total_sz_operator(chain)
+    sz = np.diag(total_sz(chain))
     sz_exp = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, sz, vecs))
     sector = vals[np.abs(sz_exp - 1.0) < 1e-8]  # one magnon: Sz = 2 - 1
     assert np.min(np.abs(sector - target)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# S^z sectors
+# ---------------------------------------------------------------------------
+
+
+def _sector_spectrum(chain, h):
+    """Concatenated sector eigenvalues; each block must be h restricted
+    to its sector's states, in product-basis order."""
+    sz_diag = total_sz(chain)
+    szs, evals = [], []
+    for sz, block in sector_blocks(chain):
+        states = np.flatnonzero(sz_diag == sz)
+        assert np.max(np.abs(block - h[np.ix_(states, states)])) < 1e-14
+        szs.append(sz)
+        evals.append(np.linalg.eigvals(block))
+    assert szs == sorted(set(szs), reverse=True)
+    return np.concatenate(evals)
+
+
+@pytest.mark.parametrize("S", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("interior", [False, True])
+def test_sector_spectrum_matches_dense(xxx, trig, S, theta, interior):
+    for params in (xxx, trig):
+        for N in (3, 4, 5):
+            site = 2 if interior else None
+            chain = ChainSpec(N=N, defect_spin=S, params=params,
+                              theta=theta, defect_site=site)
+            h = hamiltonian(chain)
+            dense = np.linalg.eigvals(h)
+            sectors = _sector_spectrum(chain, h)
+            assert sectors.size == dense.size == chain.hilbert_dim
+            # multiset match: the pairing with the least total distance
+            dist = np.abs(dense[:, None] - sectors[None, :])
+            rows, cols = linear_sum_assignment(dist)
+            scale = np.max(np.abs(dense))
+            assert np.max(dist[rows, cols]) <= 1e-10 * scale
+
+
+def _kron_embed(mat, dims, i, j):
+    """mat on factors (i, j), written out as a sum of Kronecker products."""
+    di, dj = dims[i], dims[j]
+    m = mat.reshape(di, dj, di, dj)
+    out = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    for a, b, ap, bp in np.ndindex(di, dj, di, dj):
+        if m[a, b, ap, bp] == 0:
+            continue
+        factors = [np.eye(d) for d in dims]
+        factors[i] = np.outer(np.eye(di)[a], np.eye(di)[ap])
+        factors[j] = np.outer(np.eye(dj)[b], np.eye(dj)[bp])
+        out += m[a, b, ap, bp] * functools.reduce(np.kron, factors)
+    return out
+
+
+def _kron_hamiltonian(chain):
+    """The defect Hamiltonian from full-size operators and a full-size
+    inverse of the embedded defect Lax matrix."""
+    params, dims = chain.params, chain.site_dims
+    n_sites, n = chain.N + 1, chain.defect_site
+    rep = build_rep(chain.defect_spin, params)
+    prev_site = n - 1 if n > 1 else n_sites
+    next_site = n + 1 if n < n_sites else 1
+    rdot = permutation_matrix() @ d_r_matrix(params, 0.0)
+    h = np.zeros((chain.hilbert_dim,) * 2, dtype=complex)
+    for j in range(1, n_sites + 1):
+        if j not in (prev_site, n):
+            h += _kron_embed(rdot, dims, j - 1, j % n_sites)
+    m = _kron_embed(defect_lax(params, rep, -chain.theta), dims,
+                    next_site - 1, n - 1)
+    mdot = _kron_embed(d_defect_lax(params, rep, -chain.theta), dims,
+                       next_site - 1, n - 1)
+    m_inv = np.linalg.inv(m)
+    h += regularity_scale(params) * (mdot @ m_inv)
+    h += m @ _kron_embed(rdot, dims, prev_site - 1, next_site - 1) @ m_inv
+    return -h
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_local_term_hamiltonian_matches_kron_build(xxx, trig, N):
+    for params in (xxx, trig):
+        for S, site in ((0.5, None), (1.0, 1), (1.5, 2)):
+            chain = ChainSpec(N=N, defect_spin=S, params=params, theta=0.3,
+                              defect_site=site)
+            gap = np.max(np.abs(hamiltonian(chain) - _kron_hamiltonian(chain)))
+            assert gap < 1e-13
+
+
+def test_sector_leakage_raises(monkeypatch, trig):
+    def leaky(params, lam):
+        out = d_r_matrix(params, lam).copy()
+        out[0, 1] += 0.1  # spin flip: |up down> -> |up up>
+        return out
+
+    chain = ChainSpec(N=3, defect_spin=1.0, params=trig, theta=0.3)
+    monkeypatch.setattr(spin_chain, "d_r_matrix", leaky)
+    sz = np.diag(total_sz(chain))
+    assert comm_norm(hamiltonian(chain), sz) > 0.05  # the patch took effect
+    with pytest.raises(SectorLeakage):
+        list(sector_blocks(chain))
+
+
+def test_sector_build_memory(xxx):
+    """N=11, S=1: D = 6144, where a dense complex H alone is 604 MB."""
+    chain = ChainSpec(N=11, defect_spin=1.0, params=xxx, theta=0.3)
+    sizes = []
+    tracemalloc.start()
+    try:
+        for _, block in sector_blocks(chain):
+            sizes.append(len(block))
+            del block
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == chain.hilbert_dim == 6144
+    assert peak < 64 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
