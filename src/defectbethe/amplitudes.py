@@ -22,7 +22,8 @@ import numpy as np
 from .errors import DomainError, NotRealizable, PoleError, RepMismatch
 from .special_functions import (AmplitudeValue, GammaFactor, GammaProductSpec,
                                 fourier_log_integral, gamma_product,
-                                inverse_fourier_even, log_gamma)
+                                gamma_products, inverse_fourier_even,
+                                log_gamma)
 from .spin_algebra import (ATTRACTIVE, REPULSIVE, SpinRepresentation,
                            build_rep)
 
@@ -378,15 +379,28 @@ def corrigan_product_spec(z1, z2, gamma):
 
 def kink_S_amplitude(params, lam, tol=1e-12):
     """First eigenvalue of the two-kink scattering matrix."""
-    lam = complex(lam)
+    return kink_S_amplitudes(params, [lam], tol=tol)[0]
+
+
+def kink_S_amplitudes(params, lams, tol=1e-12):
+    """kink_S_amplitude over a rapidity grid, in one engine pass."""
+    lams = np.asarray(lams, dtype=complex).ravel()
     if params.is_rational:
-        val = np.exp(log_gamma(-0.5j * lam + 0.5) + log_gamma(0.5j * lam + 1.0)
-                     - log_gamma(-0.5j * lam + 1.0)
-                     - log_gamma(0.5j * lam + 0.5))
-        return AmplitudeValue(complex(val), err=4e-16 * abs(val), terms_used=0)
+        return _gamma_ratios(-0.5j * lams + 0.5, 0.5j * lams + 1.0,
+                             -0.5j * lams + 1.0, 0.5j * lams + 0.5)
     g = params.gamma
-    z = 1j * g * lam if params.regime_name == REPULSIVE else 1j * lam
-    return gamma_product(kink_product_spec(z, g), tol=tol)
+    scale = 1j * g if params.regime_name == REPULSIVE else 1j
+    return gamma_products([kink_product_spec(scale * complex(lam), g)
+                           for lam in lams], tol=tol)
+
+
+def _gamma_ratios(num1, num2, den1, den2):
+    """Gamma(num1) Gamma(num2) / (Gamma(den1) Gamma(den2)) per grid point,
+    through one log_gamma call."""
+    lg = log_gamma(np.stack([num1, num2, den1, den2]))
+    vals = np.exp(lg[0] + lg[1] - lg[2] - lg[3])
+    return [AmplitudeValue(complex(v), err=4e-16 * abs(v), terms_used=0)
+            for v in vals]
 
 
 def kink_S_by_integral(params, lam, tol=1e-11):
@@ -438,26 +452,29 @@ def s_matrix_ybe_residual(params, lam1, lam2, lam3=0.0):
 
 def transmission_amplitude(params, data, lam_hat, tol=1e-12):
     """First transmission eigenvalue for a kink passing the defect."""
+    return transmission_amplitudes(params, data, [lam_hat], tol=tol)[0]
+
+
+def transmission_amplitudes(params, data, lam_hats, tol=1e-12):
+    """transmission_amplitude over a rapidity grid, in one engine pass."""
     _check_regime(params, data)
-    lam_hat = complex(lam_hat)
+    lam_hats = np.asarray(lam_hats, dtype=complex).ravel()
     if data.regime == "rational":
         st = data.shifted_spin
-        val = np.exp(
-            log_gamma(0.5j * lam_hat + st / 2.0 + 0.75)
-            + log_gamma(-0.5j * lam_hat + st / 2.0 + 0.25)
-            - log_gamma(0.5j * lam_hat + st / 2.0 + 0.25)
-            - log_gamma(-0.5j * lam_hat + st / 2.0 + 0.75))
-        return AmplitudeValue(complex(val), err=4e-16 * abs(val), terms_used=0)
+        return _gamma_ratios(0.5j * lam_hats + st / 2.0 + 0.75,
+                             -0.5j * lam_hats + st / 2.0 + 0.25,
+                             0.5j * lam_hats + st / 2.0 + 0.25,
+                             -0.5j * lam_hats + st / 2.0 + 0.75)
     g = data.gamma
     if data.regime == REPULSIVE:
-        z_hat = 1j * g * lam_hat + data.rapidity_offset
-        spec = transmission_product_spec_repulsive(
-            z_hat, g, data.shifted_spin, data.branch_index)
+        specs = [transmission_product_spec_repulsive(
+            1j * g * complex(lam_hat) + data.rapidity_offset, g,
+            data.shifted_spin, data.branch_index) for lam_hat in lam_hats]
     else:
-        z_hat = 1j * lam_hat + data.rapidity_offset
-        spec = transmission_product_spec_attractive(
-            z_hat, g, data.coupling, data.branch_index)
-    return gamma_product(spec, tol=tol)
+        specs = [transmission_product_spec_attractive(
+            1j * complex(lam_hat) + data.rapidity_offset, g, data.coupling,
+            data.branch_index) for lam_hat in lam_hats]
+    return gamma_products(specs, tol=tol)
 
 
 def transmission_by_integral(params, data, lam_hat, tol=1e-11):

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -127,15 +126,6 @@ def _parse_sweep(text):
     return grid
 
 
-def _concurrent_map(fn, items):
-    """Evaluate fn over items concurrently, results ordered by index."""
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _spin_list(args, default):
     return args.spin if args.spin else default
 
@@ -243,46 +233,42 @@ def _cmd_verify(args, cfg, emitter):
 # amp
 # ---------------------------------------------------------------------------
 
-def _amp_point(args, params, data, kind, lam):
-    """(product, integral) AmplitudeValue pair at one rapidity; entries
-    may be None when the method does not request them."""
-    want_p = args.method in ("product", "both")
-    want_i = args.method in ("integral", "both")
-    prod = integ = None
-    if kind == "kink":
-        if want_p:
-            prod = amp.kink_S_amplitude(params, lam)
-        if want_i:
-            integ = amp.kink_S_by_integral(params, lam)
-    elif kind == "transmission":
-        lam_hat = lam - args.theta
-        if want_p:
-            prod = amp.transmission_amplitude(params, data, lam_hat)
-        if want_i:
-            integ = amp.transmission_by_integral(params, data, lam_hat)
-    elif kind == "breather-s":
-        if want_p:
-            val = amp.breather_S(args.n1, args.n2, lam, data.gamma)
-            prod = sf.AmplitudeValue(val, err=1e-14 * abs(val), terms_used=0)
-        if want_i:
-            if (args.n1, args.n2) != (1, 1):
-                raise DefectBetheError(
-                    "the integral route covers the lightest breather only "
-                    "(--n1 1 --n2 1)")
-            integ = amp.breather_S_by_integral(params, lam)
-    elif kind == "breather-t":
-        lam_hat = lam - args.theta
-        if want_p:
-            e1, e2 = data.breather_shifts
-            val = amp.breather_T(args.n1, lam_hat, data.gamma, e1, e2)
-            prod = sf.AmplitudeValue(val, err=1e-14 * abs(val), terms_used=0)
-        if want_i:
-            if args.n1 != 1:
-                raise DefectBetheError(
-                    "the integral route covers the lightest breather only "
-                    "(--n1 1)")
-            integ = amp.breather_T_by_integral(params, data, lam_hat)
-    return prod, integ
+def _product_route(args, params, data, grid):
+    """Product-route AmplitudeValues over the whole grid.  The Gamma
+    ladders go through the engine in one batched pass; the breather
+    closed forms are cheap products of hyperbolic ratios."""
+    if args.kind == "kink":
+        return amp.kink_S_amplitudes(params, grid)
+    if args.kind == "transmission":
+        return amp.transmission_amplitudes(params, data, grid - args.theta)
+    if args.kind == "breather-s":
+        vals = [amp.breather_S(args.n1, args.n2, lam, data.gamma)
+                for lam in grid]
+    else:
+        e1, e2 = data.breather_shifts
+        vals = [amp.breather_T(args.n1, lam - args.theta, data.gamma, e1, e2)
+                for lam in grid]
+    return [sf.AmplitudeValue(val, err=1e-14 * abs(val), terms_used=0)
+            for val in vals]
+
+
+def _integral_point(args, params, data, lam):
+    """Integral-route AmplitudeValue at one rapidity (one quad call)."""
+    if args.kind == "kink":
+        return amp.kink_S_by_integral(params, lam)
+    if args.kind == "transmission":
+        return amp.transmission_by_integral(params, data, lam - args.theta)
+    if args.kind == "breather-s":
+        if (args.n1, args.n2) != (1, 1):
+            raise DefectBetheError(
+                "the integral route covers the lightest breather only "
+                "(--n1 1 --n2 1)")
+        return amp.breather_S_by_integral(params, lam)
+    if args.n1 != 1:
+        raise DefectBetheError(
+            "the integral route covers the lightest breather only "
+            "(--n1 1)")
+    return amp.breather_T_by_integral(params, data, lam - args.theta)
 
 
 def _cmd_amp(args, cfg, emitter):
@@ -309,14 +295,17 @@ def _cmd_amp(args, cfg, emitter):
     else:
         raise DefectBetheError("need --lambda or --sweep")
 
-    point = functools.partial(_amp_point, args, params, data, args.kind)
-    results = _concurrent_map(point, grid)
+    prods = integs = [None] * len(grid)
+    if args.method in ("product", "both"):
+        prods = _product_route(args, params, data, grid)
+    if args.method in ("integral", "both"):
+        integs = [_integral_point(args, params, data, lam) for lam in grid]
 
     base = {"kind": args.kind, "model": args.model, "mu": args.mu,
             "regime": args.regime, "spin": args.spin, "theta": args.theta,
             "n1": args.n1, "n2": args.n2}
     failed = False
-    for lam, (prod, integ) in zip(grid, results):
+    for lam, prod, integ in zip(grid, prods, integs):
         gap = None
         if prod is not None and integ is not None:
             gap = abs(prod.value - integ.value)
@@ -324,7 +313,7 @@ def _cmd_amp(args, cfg, emitter):
         for label, av in (("product", prod), ("integral", integ)):
             if av is None:
                 continue
-            extra = {}
+            extra = {"terms_used": av.terms_used}
             if gap is not None:
                 extra["product_integral_gap"] = float(gap)
             emitter.emit(_record(

@@ -4,9 +4,11 @@ These three primitives carry all scalar amplitude evaluations in the package:
 
   * log_gamma        -- principal-branch log Gamma(z), rational (Lanczos-type)
                         approximation for Re z >= 1/2, reflection below.
-  * gamma_product    -- prod_{k>=0} prod_i Gamma(a_i + b_i k + c_i)^{s_i} for
+  * gamma_products   -- prod_{k>=0} prod_i Gamma(a_i + b_i k + c_i)^{s_i} for
                         sign-balanced factor families, truncated with an
-                        asymptotic tail correction.
+                        asymptotic tail correction; a whole grid of such
+                        products shares batched log_gamma calls
+                        (gamma_product is the one-product case).
   * fourier_log_integral -- exp[-int dw/w e^{-iwL} K(w)] for even kernels K,
                         reduced to a real half-line quadrature.
 
@@ -236,16 +238,16 @@ class GammaProductSpec:
         return out
 
 
-def _tail_correction(spec, K):
+def _tail_correction(moments, K):
     """Asymptotic sum_{k>=K} [log_term(k) - c1_b/k], with a truncation estimate.
 
-    Stirling-expanding sum_i s_i log Gamma(b k + d_i) in 1/k, the balance
-    conditions M0 = M1 = 0 kill the O(k ln k), O(ln k) and O(1) parts, and
-    the O(1/k) coefficient is c1_b = M2/(2b) (zero for a balanced product,
-    subtracted explicitly for a renormalized one).  The surviving
-    coefficients depend only on the offset moments M_j = sum_i s_i d_i^j.
-    Partial zeta sums close the tail exactly to the retained order (k^-7,
-    residual O(k^-8)).
+    `moments` is spec.tail_moments().  Stirling-expanding
+    sum_i s_i log Gamma(b k + d_i) in 1/k, the balance conditions
+    M0 = M1 = 0 kill the O(k ln k), O(ln k) and O(1) parts, and the O(1/k)
+    coefficient is c1_b = M2/(2b) (zero for a balanced product, subtracted
+    explicitly for a renormalized one).  The surviving coefficients depend
+    only on the offset moments M_j = sum_i s_i d_i^j.  Partial zeta sums
+    close the tail exactly to the retained order (k^-7, residual O(k^-8)).
 
     Returns (tail, trunc, q): trunc bounds the dropped orders, and q is
     the expansion parameter max|d|/(bK); the bound is only trustworthy
@@ -255,7 +257,7 @@ def _tail_correction(spec, K):
     tail = 0.0 + 0.0j
     trunc = 0.0
     q = 0.0
-    for b, (m2, m3, m4, m5, m6, m7, m8), dmax in spec.tail_moments():
+    for b, (m2, m3, m4, m5, m6, m7, m8), dmax in moments:
         tail += (m2 / 4.0 - m3 / 6.0) / b**2 * s[2]
         tail += (m2 / 12.0 + m4 / 12.0 - m3 / 6.0) / b**3 * s[3]
         tail += (-m5 / 20.0 + m4 / 8.0 - m3 / 12.0) / b**4 * s[4]
@@ -269,16 +271,13 @@ def _tail_correction(spec, K):
     return tail, trunc, q
 
 
-def gamma_product(spec, tol=1e-12, start_terms=64, max_terms=65536):
-    """Evaluate a balanced GammaProductSpec as an AmplitudeValue.
+# Most arguments one log_gamma call of the product engine receives.  It
+# bounds the engine's working set (argument block, log-Gamma values and
+# log_gamma's temporaries) to a few hundred kB whatever the grid size.
+_CHUNK = 4096
 
-    Sums K explicit log-terms plus the analytic high-order tail.  K is
-    grown only until the tail's own truncation estimate drops below tol;
-    summing further would add roundoff (each explicit term cancels
-    log-Gamma values of size ~ b K log(b K)) without gaining accuracy.
-    Raises PoleError if some factor argument hits a Gamma pole, and
-    NonConvergence if no admissible K exists below the ceiling.
-    """
+
+def _check_poles(spec):
     # poles can only occur while Re(argument) is still small
     for f in spec.factors:
         re0 = (f.a + f.c).real
@@ -287,29 +286,105 @@ def gamma_product(spec, tol=1e-12, start_terms=64, max_terms=65536):
         if np.any(_near_nonpositive_integer(args)):
             raise PoleError("Gamma factor argument hits a pole of Gamma")
 
+
+def _choose_terms(spec, tol, start_terms, max_terms):
+    """(K, tail, trunc): the first doubling of start_terms whose tail is
+    below tol."""
+    moments = spec.tail_moments()
     K = int(start_terms)
     while True:
-        tail, trunc, q = _tail_correction(spec, K)
+        tail, trunc, q = _tail_correction(moments, K)
         if q <= 0.25 and trunc <= 0.5 * tol:
-            break
+            return K, tail, trunc
         if 2 * K > max_terms:
             raise NonConvergence(
                 f"gamma_product tail not below tol={tol} at K={K} "
                 f"(estimate {trunc:.3e}, expansion parameter {q:.3f})")
         K = 2 * K
 
-    log_sum = complex(np.sum(spec.log_term(np.arange(K))))
-    if spec.renormalized:
-        # sum_{k<K} log_term - c1 psi(K) -> renormalized value as K grows,
-        # since psi(K) = H_{K-1} - euler_gamma soaks up the c1/k drift
-        log_sum -= spec.renorm_coefficient() * float(sp_digamma(K))
-    # roundoff in the explicit block: cancelling log-Gammas of size L
-    b_max = max(f.b for f in spec.factors)
-    L = b_max * K * max(1.0, math.log(b_max * K))
-    noise = 1e-16 * L * math.sqrt(K)
-    value = complex(np.exp(log_sum + tail))
-    err = abs(value) * (trunc + noise)
-    return AmplitudeValue(value=value, err=float(err), terms_used=K)
+
+def _log_term_sums(specs, K):
+    """sum_{k<K} log_term(k) for each spec; all share K and a factor count.
+
+    The (spec, factor, k) arguments are built as a + b*k + c and summed
+    over factors in spec order, then over k, exactly as log_term does, so
+    each value is bit-identical to np.sum(spec.log_term(np.arange(K))).
+    """
+    n, F = len(specs), len(specs[0].factors)
+
+    def column(attr, dtype):  # (spec, factor, 1) array of one attribute
+        return np.array([[getattr(f, attr) for f in spec.factors]
+                         for spec in specs], dtype=dtype)[:, :, None]
+
+    sign, a = column("sign", int), column("a", complex)
+    b, c = column("b", float), column("c", float)
+    k = np.arange(K, dtype=float)
+    rows = max(1, _CHUNK // (F * K))   # whole specs per call ...
+    width = min(K, max(1, _CHUNK // F))  # ... or a k-slice of one spec
+    sums = np.empty(n, dtype=complex)
+    for r0 in range(0, n, rows):
+        rs = slice(r0, r0 + rows)
+        terms = np.empty((len(sign[rs]), K), dtype=complex)
+        for k0 in range(0, K, width):
+            lg = log_gamma(a[rs] + b[rs] * k[k0:k0 + width] + c[rs])
+            total = 0.0 + 0.0j
+            for i in range(F):
+                total = total + sign[rs, i] * lg[:, i, :]
+            terms[:, k0:k0 + width] = total
+        sums[rs] = np.sum(terms, axis=-1)
+    return sums
+
+
+def gamma_products(specs, tol=1e-12, start_terms=64, max_terms=65536):
+    """Evaluate balanced GammaProductSpecs; returns a list of AmplitudeValue.
+
+    Per spec, sums K explicit log-terms plus the analytic high-order tail.
+    K is grown only until the tail's own truncation estimate drops below
+    tol; summing further would add roundoff (each explicit term cancels
+    log-Gamma values of size ~ b K log(b K)) without gaining accuracy.
+    Specs that settle on the same K share log_gamma calls of at most
+    _CHUNK arguments.  Raises PoleError if some factor argument hits a
+    Gamma pole, and NonConvergence if no admissible K exists below the
+    ceiling, for the first spec where either happens.
+    """
+    specs = list(specs)
+    chosen = []
+    for spec in specs:
+        _check_poles(spec)
+        chosen.append(_choose_terms(spec, tol, start_terms, max_terms))
+
+    groups = {}
+    for i, (spec, (K, _, _)) in enumerate(zip(specs, chosen)):
+        groups.setdefault((K, len(spec.factors)), []).append(i)
+    log_sums = np.empty(len(specs), dtype=complex)
+    for (K, _), idx in groups.items():
+        log_sums[idx] = _log_term_sums([specs[i] for i in idx], K)
+
+    out = []
+    for spec, (K, tail, trunc), log_sum in zip(specs, chosen, log_sums):
+        log_sum = complex(log_sum)
+        if spec.renormalized:
+            # sum_{k<K} log_term - c1 psi(K) -> renormalized value as K
+            # grows, since psi(K) = H_{K-1} - euler_gamma soaks up the c1/k
+            # drift
+            log_sum -= spec.renorm_coefficient() * float(sp_digamma(K))
+        # roundoff in the explicit block: cancelling log-Gammas of size L
+        b_max = max(f.b for f in spec.factors)
+        L = b_max * K * max(1.0, math.log(b_max * K))
+        noise = 1e-16 * L * math.sqrt(K)
+        value = complex(np.exp(log_sum + tail))
+        err = abs(value) * (trunc + noise)
+        out.append(AmplitudeValue(value=value, err=float(err), terms_used=K))
+    return out
+
+
+def gamma_product(spec, tol=1e-12, start_terms=64, max_terms=65536):
+    """Evaluate one balanced GammaProductSpec as an AmplitudeValue.
+
+    The one-spec case of gamma_products.
+    """
+    return gamma_products([spec], tol=tol, start_terms=start_terms,
+                          max_terms=max_terms)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +403,31 @@ def _cutoff_for(kernel, tol):
         f"kernel does not decay below {0.01 * tol} by omega={_OMEGA_LADDER[-1]}")
 
 
+def _half_line_quad(integrand, freq, omega_max, tol):
+    """quad of an oscillating integrand over [0, omega_max].
+
+    Subdivides at the oscillation period 2 pi/|freq| so adaptive quad
+    locks on.  Returns (value, abs_err, evals); raises NonConvergence
+    carrying quad's own message when quad reports a failure.
+    """
+    pts = None
+    if abs(freq) > 0.5:
+        period = 2.0 * math.pi / abs(freq)
+        if period < omega_max:
+            pts = list(np.arange(period, omega_max, period))[:80]
+    out = quad(integrand, 0.0, omega_max, limit=600, epsabs=0.1 * tol,
+               epsrel=0.1 * tol, points=pts, full_output=True)
+    if len(out) > 3:  # quad appends its message only when ier != 0
+        raise NonConvergence(f"quad failed: {out[3]}")
+    val, err, info = out
+    return val, err, int(info["neval"])
+
+
 def fourier_sine_integral(kernel, lam, tol=1e-10):
     """int_0^inf sin(w lam) kernel(w) / w dw for an even decaying kernel.
 
     Returns (value, abs_err, evals).  The integrand has a removable point
-    at w = 0 (-> lam * kernel(0)).
+    at w = 0 (-> lam * kernel(0)).  Raises NonConvergence when quad fails.
     """
     lam = float(lam)
     omega_max = _cutoff_for(kernel, tol)
@@ -342,17 +437,9 @@ def fourier_sine_integral(kernel, lam, tol=1e-10):
             return lam * kernel(1e-9)
         return math.sin(w * lam) * kernel(w) / w
 
-    # subdivide at oscillation scale so adaptive quad locks on
-    pts = None
-    if abs(lam) > 0.5:
-        period = 2.0 * math.pi / abs(lam)
-        if period < omega_max:
-            pts = list(np.arange(period, omega_max, period))[:80]
-    val, err, info = quad(integrand, 0.0, omega_max, limit=600,
-                          epsabs=0.1 * tol, epsrel=0.1 * tol,
-                          points=pts, full_output=True)[:3]
+    val, err, evals = _half_line_quad(integrand, lam, omega_max, tol)
     tail = abs(kernel(omega_max)) / omega_max  # crude bound on the rest
-    return val, err + tail, int(info["neval"])
+    return val, err + tail, evals
 
 
 def fourier_log_integral(kernel, lam, tol=1e-10):
@@ -368,16 +455,14 @@ def fourier_log_integral(kernel, lam, tol=1e-10):
 
 
 def inverse_fourier_even(kernel, x, tol=1e-10):
-    """(1/2pi) int_-inf^inf e^{-i w x} K(w) dw = (1/pi) int_0^inf cos(w x) K(w) dw."""
+    """(1/2pi) int_-inf^inf e^{-i w x} K(w) dw = (1/pi) int_0^inf cos(w x) K(w) dw.
+
+    Returns (value, abs_err); raises NonConvergence when quad fails.
+    """
     x = float(x)
     omega_max = _cutoff_for(kernel, tol)
-    pts = None
-    if abs(x) > 0.5:
-        period = 2.0 * math.pi / abs(x)
-        if period < omega_max:
-            pts = list(np.arange(period, omega_max, period))[:80]
-    val, err = quad(lambda w: math.cos(w * x) * kernel(w), 0.0, omega_max,
-                    limit=600, epsabs=0.1 * tol, epsrel=0.1 * tol, points=pts)
+    val, err, _ = _half_line_quad(lambda w: math.cos(w * x) * kernel(w), x,
+                                  omega_max, tol)
     return val / math.pi, err / math.pi
 
 
@@ -457,7 +542,7 @@ def verify_gamma_integral_identity(kind, mu_param, beta_param=None, tol=None):
         spec = GammaProductSpec(factors=factors)
         K = 512
         rhs = np.sum(spec.log_term(np.arange(K)))
-        tail, _, _ = _tail_correction(spec, K)
+        tail, _, _ = _tail_correction(spec.tail_moments(), K)
         rhs = (rhs + tail).real
         return abs(lhs - rhs)
 

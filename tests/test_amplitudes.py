@@ -8,10 +8,13 @@ live in test_acceptance.py.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
+from defectbethe import special_functions
 from defectbethe.amplitudes import (
     DefectRegimeData,
     branch_index,
@@ -20,21 +23,27 @@ from defectbethe.amplitudes import (
     breather_T,
     breather_T_by_integral,
     corrigan_form,
+    corrigan_product_spec,
     corrigan_variables,
     dispersion,
     elementary_ratio,
     kernel_hat,
     kink_S_amplitude,
+    kink_S_amplitudes,
     kink_S_by_integral,
+    kink_product_spec,
     one_hole_spin,
     s_matrix,
     s_matrix_ybe_residual,
     shifted_spin_rep,
     state_density,
     transmission_amplitude,
+    transmission_amplitudes,
     transmission_by_integral,
     transmission_eigenvalue_ratio,
     transmission_matrix,
+    transmission_product_spec_attractive,
+    transmission_product_spec_repulsive,
     transmission_rtt_residual,
 )
 from defectbethe.errors import (
@@ -48,6 +57,11 @@ from defectbethe.spin_algebra import (
     REPULSIVE,
     ModelParameters,
     build_rep,
+)
+from defectbethe.special_functions import (
+    _tail_correction,
+    gamma_products,
+    log_gamma,
 )
 
 ATT16 = ModelParameters.xxz(math.pi / 1.6, ATTRACTIVE)   # nu = 1.6, gamma = 0.6
@@ -323,6 +337,115 @@ def test_attractive_matrix_not_realizable(attractive4):
     half = DefectRegimeData.from_params(attractive4, 0.5)
     tpl = transmission_matrix(attractive4, half, None, 0.4, symbolic=True)
     assert tpl["reduction_branch"] == {"function": "sin", "sign": -1}
+
+
+# ---------------------------------------------------------------------------
+# batched product engine
+# ---------------------------------------------------------------------------
+
+
+def _reference_product(spec, tol=1e-12, start_terms=64):
+    """Unbatched evaluation: per-factor log_gamma over np.arange(K)."""
+    moments = spec.tail_moments()
+    K = start_terms
+    while True:
+        tail, trunc, q = _tail_correction(moments, K)
+        if q <= 0.25 and trunc <= 0.5 * tol:
+            break
+        K *= 2
+    k = np.arange(K)
+    total = 0.0 + 0.0j
+    for f in spec.factors:
+        total = total + f.sign * log_gamma(f.argument(k))
+    log_sum = complex(np.sum(total))
+    if spec.renormalized:
+        log_sum -= spec.renorm_coefficient() * float(sp.digamma(K))
+    b_max = max(f.b for f in spec.factors)
+    L = b_max * K * max(1.0, math.log(b_max * K))
+    value = complex(np.exp(log_sum + tail))
+    err = abs(value) * (trunc + 1e-16 * L * math.sqrt(K))
+    return value, float(err), K
+
+
+def _engine_grid(repulsive4, attractive4):
+    """Kink, both transmission ladders and renormalized defect-field
+    ladders over one grid; K runs from 64 to 512 across it."""
+    lams = np.linspace(-3.0, 3.0, 13)
+    g16 = ATT16.gamma
+    rep = DefectRegimeData.from_params(repulsive4, 1.0)
+    att = DefectRegimeData.from_params(ATT16, 0.5)
+    cor = DefectRegimeData.from_params(attractive4, 1.0, rapidity_offset=0.3)
+    specs = []
+    for lam in lams:
+        specs.append(kink_product_spec(1j * lam, g16))
+        specs.append(transmission_product_spec_repulsive(
+            1j * rep.gamma * lam, rep.gamma, rep.shifted_spin, 0))
+        specs.append(transmission_product_spec_attractive(
+            1j * lam, g16, att.coupling, 0))
+        specs.append(corrigan_product_spec(*corrigan_variables(cor, lam),
+                                           cor.gamma))
+    return specs
+
+
+def test_gamma_products_match_unbatched_reference(repulsive4, attractive4):
+    specs = _engine_grid(repulsive4, attractive4)
+    got = gamma_products(specs)
+    assert {av.terms_used for av in got} == {64, 128, 256, 512}
+    for spec, av in zip(specs, got):
+        assert (av.value, av.err, av.terms_used) == _reference_product(spec)
+
+
+def test_gamma_products_respect_chunk_cap(repulsive4, attractive4,
+                                             monkeypatch):
+    specs = _engine_grid(repulsive4, attractive4)
+    wide = gamma_products(specs)
+    sizes = []
+
+    def counting_log_gamma(z):
+        sizes.append(np.size(z))
+        return log_gamma(z)
+
+    monkeypatch.setattr(special_functions, "log_gamma", counting_log_gamma)
+    gamma_products(specs)
+    assert max(sizes) <= 4096
+    # 100 < 8 factors * 64 terms: every spec is split along k
+    sizes.clear()
+    monkeypatch.setattr(special_functions, "_CHUNK", 100)
+    assert gamma_products(specs) == wide
+    assert max(sizes) <= 100
+
+
+def test_rational_grids_match_pointwise_closed_form(xxx):
+    lams = np.linspace(-2.0, 2.0, 9)
+    data = DefectRegimeData.from_params(xxx, 1.5)
+    st = data.shifted_spin
+    for lam, kink, trans in zip(lams, kink_S_amplitudes(xxx, lams),
+                                transmission_amplitudes(xxx, data, lams)):
+        x = complex(lam)
+        k_ref = np.exp(log_gamma(-0.5j * x + 0.5) + log_gamma(0.5j * x + 1.0)
+                       - log_gamma(-0.5j * x + 1.0)
+                       - log_gamma(0.5j * x + 0.5))
+        t_ref = np.exp(log_gamma(0.5j * x + st / 2.0 + 0.75)
+                       + log_gamma(-0.5j * x + st / 2.0 + 0.25)
+                       - log_gamma(0.5j * x + st / 2.0 + 0.25)
+                       - log_gamma(-0.5j * x + st / 2.0 + 0.75))
+        assert kink.value == complex(k_ref) and kink.terms_used == 0
+        assert trans.value == complex(t_ref) and trans.terms_used == 0
+
+
+def test_transmission_sweep_memory_is_bounded():
+    # 400 points at K up to 512; with the log_gamma calls uncapped the
+    # same sweep peaked at 47 MB under tracemalloc, with the cap at 1.7 MB
+    data = DefectRegimeData.from_params(ATT16, 0.5)
+    lams = np.linspace(-3.0, 3.0, 400)
+    tracemalloc.start()
+    try:
+        out = transmission_amplitudes(ATT16, data, lams)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(av.terms_used for av in out) == 512
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,24 @@ def test_amp_sweep_and_gap(capsys):
     assert all(g <= 1e-8 for g in gaps)
 
 
+def test_amp_records_carry_terms_used(capsys):
+    code, out, _ = run_cli(capsys, [
+        "amp", "transmission", "--model", "xxz", "--mu", repr(math.pi / 4),
+        "--regime", "repulsive", "--spin", "1", "--sweep=-1:1:3",
+        "--method", "both"])
+    assert code == 0
+    recs = json_lines(out)
+    product = [r["terms_used"] for r in recs
+               if r["params"]["method"] == "product"]
+    integral = [r["terms_used"] for r in recs
+                if r["params"]["method"] == "integral"]
+    assert len(product) == len(integral) == 3
+    # ladder K is a doubling of the engine's 64 start terms; quad's neval
+    # counts its 21-point Gauss-Kronrod panels
+    assert all(k >= 64 and k & (k - 1) == 0 for k in product)
+    assert all(n > 0 and n % 21 == 0 for n in integral)
+
+
 def test_amp_breather_requires_attractive(capsys):
     code, _, err = run_cli(capsys, [
         "amp", "breather-s", "--lambda", "0.5"])

@@ -13,6 +13,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defectbethe import special_functions
 from defectbethe.errors import NonConvergence, PoleError
 from defectbethe.special_functions import (
     AmplitudeValue,
@@ -22,6 +23,7 @@ from defectbethe.special_functions import (
     fourier_sine_integral,
     gamma_fn,
     gamma_product,
+    gamma_products,
     inverse_fourier_even,
     log_gamma,
     verify_gamma_integral_identity,
@@ -136,6 +138,18 @@ def test_gamma_product_pole_detection():
     spec = GammaProductSpec(factors=factors, renormalized=True)
     with pytest.raises(PoleError):
         gamma_product(spec)
+
+
+def test_gamma_products_pole_in_grid():
+    good = _ratio_spec(0.3, 1.1, 0.65, 0.75)
+    pole = GammaProductSpec(factors=(
+        GammaFactor(sign=+1, a=-1.0, b=1.0),
+        GammaFactor(sign=+1, a=2.0, b=1.0),
+        GammaFactor(sign=-1, a=0.5, b=1.0),
+        GammaFactor(sign=-1, a=0.5, b=1.0),
+    ), renormalized=True)
+    with pytest.raises(PoleError):
+        gamma_products([good, good, pole, good])
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +269,21 @@ def test_inverse_fourier_even_sech_pair():
     for x in (0.0, 0.4, 1.1, 2.6):
         val, err = inverse_fourier_even(kern, x, tol=1e-11)
         assert abs(val - 0.5 / math.cosh(math.pi * x)) < 1e-9
+
+
+def test_fourier_routes_raise_on_quad_failure(monkeypatch):
+    msg = "The maximum number of subdivisions (600) has been achieved."
+
+    def failing_quad(*args, **kwargs):
+        # quad's full_output form when ier != 0: the message is appended
+        return 0.1, 1e-3, {"neval": 12600, "last": 600}, msg
+
+    monkeypatch.setattr(special_functions, "quad", failing_quad)
+    kern = lambda w: math.exp(-0.9 * w)
+    with pytest.raises(NonConvergence, match="maximum number of subdivisions"):
+        fourier_sine_integral(kern, 1.3)
+    with pytest.raises(NonConvergence, match="maximum number of subdivisions"):
+        inverse_fourier_even(kern, 0.4)
 
 
 def test_fourier_requires_decaying_kernel():
