@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotRealizable, PoleError, RepMismatch
+from .lax_operators import two_site_operator
 from .special_functions import (AmplitudeValue, GammaFactor, GammaProductSpec,
                                 fourier_log_integral, gamma_product,
                                 gamma_products, inverse_fourier_even,
                                 log_gamma)
-from .spin_algebra import (ATTRACTIVE, REPULSIVE, SpinRepresentation,
-                           build_rep)
+from .spin_algebra import (ATTRACTIVE, REPULSIVE, ModelParameters,
+                           SpinRepresentation, build_rep)
 
 _F = GammaFactor
 
@@ -127,31 +128,8 @@ def one_hole_spin(params, data):
 
 
 # ---------------------------------------------------------------------------
-# elementary ratio functions and Fourier kernels
+# Fourier kernels
 # ---------------------------------------------------------------------------
-
-
-def elementary_ratio(kind, params, order, lam):
-    """Ratio functions e_n (sinh/linear) and g_n (cosh, trig only)."""
-    lam = complex(lam)
-    if kind == "e":
-        if params.is_rational:
-            num, den = lam + 0.5j * order, lam - 0.5j * order
-        else:
-            mu = params.anisotropy
-            num = np.sinh(mu * (lam + 0.5j * order))
-            den = np.sinh(mu * (lam - 0.5j * order))
-    elif kind == "g":
-        if params.is_rational:
-            raise DomainError("g-type ratios exist only for the trig model")
-        mu = params.anisotropy
-        num = np.cosh(mu * (lam + 0.5j * order))
-        den = np.cosh(mu * (lam - 0.5j * order))
-    else:
-        raise DomainError(f"unknown ratio kind {kind!r}")
-    if abs(den) < 1e-13 * (1.0 + abs(num)):
-        raise PoleError(f"{kind}_{order} pole at lam={lam}")
-    return complex(num / den)
 
 
 def _sinh_ratio(a, b, w):
@@ -224,6 +202,8 @@ def kernel_hat(name, w, params, order=None, branch=None):
 
     if regime != ATTRACTIVE:
         raise DomainError(f"kernel {name!r} lives in the attractive regime")
+    if name in ("r_b", "R") and nu <= 2.0:
+        raise DomainError(f"{name} kernel does not decay for nu <= 2")
     ch = math.cosh((nu - 1.0) * w / 2.0)
     if name == "sigma0_b":
         return math.cosh((nu - 2.0) * w / 2.0) / ch
@@ -233,6 +213,9 @@ def kernel_hat(name, w, params, order=None, branch=None):
         _need(order, name)
         if not 0.0 < order < nu:
             raise DomainError(f"t_b needs 0 < 2S < nu, got 2S = {order}")
+        if order >= 2.0 * nu - 2.0:
+            raise DomainError(f"t_b kernel does not decay for "
+                              f"2S >= 2 nu - 2, got 2S = {order}")
         return math.cosh((nu - order - 1.0) * w / 2.0) / ch
     if name == "R":
         return -math.cosh(w / 2.0) / ch
@@ -435,13 +418,10 @@ def s_matrix(params, lam):
 
 def s_matrix_ybe_residual(params, lam1, lam2, lam3=0.0):
     """Yang-Baxter residual of s_matrix on three kink spaces."""
-    def emb(mat, i, j):
-        from .lax_operators import two_site_operator
-        return two_site_operator(mat, [2, 2, 2], i, j)
-
-    s12 = emb(s_matrix(params, lam1 - lam2), 0, 1)
-    s13 = emb(s_matrix(params, lam1 - lam3), 0, 2)
-    s23 = emb(s_matrix(params, lam2 - lam3), 1, 2)
+    dims = [2, 2, 2]
+    s12 = two_site_operator(s_matrix(params, lam1 - lam2), dims, 0, 1)
+    s13 = two_site_operator(s_matrix(params, lam1 - lam3), dims, 0, 2)
+    s23 = two_site_operator(s_matrix(params, lam2 - lam3), dims, 1, 2)
     return float(np.max(np.abs(s12 @ s13 @ s23 - s23 @ s13 @ s12)))
 
 
@@ -521,33 +501,38 @@ def transmission_matrix(params, data, rep, lam_hat, symbolic=False):
     lam_hat = complex(lam_hat)
     t_first = transmission_amplitude(params, data, lam_hat).value
     st = data.shifted_spin
-    dim = rep.dim
-    eye = np.eye(dim)
     if data.regime == "rational":
         if rep.deformation is not None:
             raise RepMismatch("rational matrix needs an undeformed rep")
         den = 1j * lam_hat + st + 0.5
-        if abs(den) < 1e-13:
-            raise PoleError("transmission matrix prefactor pole")
-        blk_a = (1j * lam_hat + 0.5) * eye + rep.Sz
-        blk_d = (1j * lam_hat + 0.5) * eye - rep.Sz
-        top = np.hstack([blk_a, rep.Sm])
-        bot = np.hstack([rep.Sp, blk_d])
-        return (t_first / den) * np.vstack([top, bot])
-    mu_r = math.pi * data.gamma
-    if rep.deformation is None or abs(rep.deformation - mu_r) > 1e-12:
-        raise RepMismatch(
-            f"repulsive matrix needs deformation pi*gamma = {mu_r}")
-    den = np.sin(mu_r * (1j * lam_hat + st + 0.5))
+    else:
+        mu_r = math.pi * data.gamma
+        if rep.deformation is None or abs(rep.deformation - mu_r) > 1e-12:
+            raise RepMismatch(
+                f"repulsive matrix needs deformation pi*gamma = {mu_r}")
+        den = np.sin(mu_r * (1j * lam_hat + st + 0.5))
     if abs(den) < 1e-13:
         raise PoleError("transmission matrix prefactor pole")
-    sz_diag = np.diag(rep.Sz)
-    blk_a = np.diag(np.sin(mu_r * (1j * lam_hat + sz_diag + 0.5)))
-    blk_d = np.diag(np.sin(mu_r * (1j * lam_hat - sz_diag + 0.5)))
-    c = math.sin(mu_r)
-    top = np.hstack([blk_a, c * rep.Sm])
-    bot = np.hstack([c * rep.Sp, blk_d])
-    return (t_first / den) * np.vstack([top, bot])
+    return (t_first / den) * transmission_blocks(rep, lam_hat)
+
+
+def transmission_blocks(rep, lam):
+    """The bare 2x2-block matrix [[A, B], [C, D]] on aux x rep.
+
+    Undeformed rep (deformation None): A, D = (i lam + 1/2) +- Sz,
+    B = S-, C = S+.  Deformed by mu: A, D = sin(mu (i lam +- Sz + 1/2)),
+    B = sin(mu) S-, C = sin(mu) S+.
+    """
+    lam = complex(lam)
+    mu = rep.deformation
+    if mu is None:
+        eye = np.eye(rep.dim)
+        return np.block([[(1j * lam + 0.5) * eye + rep.Sz, rep.Sm],
+                         [rep.Sp, (1j * lam + 0.5) * eye - rep.Sz]])
+    sz = np.diag(rep.Sz)
+    return np.block([
+        [np.diag(np.sin(mu * (1j * lam + sz + 0.5))), math.sin(mu) * rep.Sm],
+        [math.sin(mu) * rep.Sp, np.diag(np.sin(mu * (1j * lam - sz + 0.5)))]])
 
 
 def _attractive_template(data):
@@ -578,10 +563,8 @@ def _attractive_template(data):
 def shifted_spin_rep(params, data):
     """Convenience builder for the rep transmission_matrix expects."""
     if data.regime == "rational":
-        from .spin_algebra import ModelParameters
         return build_rep(data.shifted_spin, ModelParameters.xxx())
     if data.regime == REPULSIVE:
-        from .spin_algebra import ModelParameters
         renorm = ModelParameters.xxz(math.pi * data.gamma)
         return build_rep(data.shifted_spin, renorm)
     raise NotRealizable("no finite attractive representation")
@@ -589,27 +572,16 @@ def shifted_spin_rep(params, data):
 
 def transmission_rtt_residual(params, data, rep, lam1_hat, lam2_hat):
     """Residual of S12(l1-l2) T1(l1) T2(l2) = T2(l2) T1(l1) S12(l1-l2)."""
-    from .lax_operators import two_site_operator
-
-    dim = rep.dim
-    dims = [2, 2, dim]
-    t1 = _embed_transmission(
-        transmission_matrix(params, data, rep, lam1_hat), dims, 0)
-    t2 = _embed_transmission(
-        transmission_matrix(params, data, rep, lam2_hat), dims, 1)
+    dims = [2, 2, rep.dim]
+    t1 = two_site_operator(
+        transmission_matrix(params, data, rep, lam1_hat), dims, 0, 2)
+    t2 = two_site_operator(
+        transmission_matrix(params, data, rep, lam2_hat), dims, 1, 2)
     s12 = two_site_operator(s_matrix(params, lam1_hat - lam2_hat), dims, 0, 1)
     lhs = s12 @ t1 @ t2
     rhs = t2 @ t1 @ s12
     scale = max(np.max(np.abs(lhs)), 1e-30)
     return float(np.max(np.abs(lhs - rhs)) / scale)
-
-
-def _embed_transmission(tmat, dims, kink_slot):
-    """Lift a (2 x rep)-space transmission matrix into kink1 x kink2 x rep."""
-    from .lax_operators import two_site_operator
-
-    rep_slot = len(dims) - 1
-    return two_site_operator(tmat, dims, kink_slot, rep_slot)
 
 
 def _check_regime(params, data):

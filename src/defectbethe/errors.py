@@ -15,12 +15,9 @@ class PoleError(DefectBetheError):
 
 
 class NonConvergence(DefectBetheError):
-    """A truncated product or quadrature failed to reach the requested
-    tolerance at its configured ceiling."""
-
-
-class NoConvergence(DefectBetheError):
-    """Iterative root search (Newton) failed; carries the best residual seen."""
+    """A truncated product, quadrature or Newton root search failed to reach
+    the requested tolerance at its configured ceiling.  The root search
+    attaches the best residual seen and the iterate it was reached at."""
 
     def __init__(self, message, best_residual=None, last_iterate=None):
         super().__init__(message)

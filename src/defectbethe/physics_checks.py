@@ -99,10 +99,15 @@ def defect_spectrum_closed_form(params, rep, lam):
     multiset (length 2 * rep.dim) and residual the max distance under an
     optimal multiset pairing with numpy's spectrum of the same matrix.
     """
+    closed, diag = _spectra(params, rep, lam)
+    return closed, _multiset_match_residual(closed, diag)
+
+
+def _spectra(params, rep, lam):
+    """(closed-form multiset, numpy spectrum) of the defect matrix."""
     closed = closed_form_defect_eigenvalues(params, rep, lam)
     _check_generic(closed)
-    diag = np.linalg.eigvals(defect_lax(params, rep, complex(lam)))
-    return closed, _multiset_match_residual(closed, diag)
+    return closed, np.linalg.eigvals(defect_lax(params, rep, complex(lam)))
 
 
 def defect_spectrum_report(params, rep, lam, tol=None):
@@ -115,9 +120,9 @@ def defect_spectrum_report(params, rep, lam, tol=None):
     """
     if tol is None:
         tol = 1e-12 if params.is_rational else 1e-8
-    closed, residual = defect_spectrum_closed_form(params, rep, lam)
-    diag = sorted(np.linalg.eigvals(defect_lax(params, rep, complex(lam))),
-                  key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+    closed, diag = _spectra(params, rep, lam)
+    residual = _multiset_match_residual(closed, diag)
+    diag = sorted(diag, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     details = {
         "family": params.family,
         "spin": rep.spin,
@@ -241,29 +246,10 @@ def rtt_residual(params, data, lam1, lam2):
                                                 lam1, lam2)
 
 
-def _block_matrix(params, rep, lam, transpose_aux=False):
-    """The bare 2x2-block defect matrix entering the transmission matrix."""
-    lam = complex(lam)
-    eye = np.eye(rep.dim, dtype=complex)
-    if params.is_rational:
-        blk_a = (1j * lam + 0.5) * eye + rep.Sz
-        blk_d = (1j * lam + 0.5) * eye - rep.Sz
-        off_b, off_c = rep.Sm, rep.Sp
-    else:
-        mu = rep.deformation if rep.deformation is not None \
-            else params.anisotropy
-        sz = np.diag(rep.Sz)
-        blk_a = np.diag(np.sin(mu * (1j * lam + sz + 0.5)))
-        blk_d = np.diag(np.sin(mu * (1j * lam - sz + 0.5)))
-        off_b = math.sin(mu) * rep.Sm
-        off_c = math.sin(mu) * rep.Sp
-    if transpose_aux:
-        off_b, off_c = off_c, off_b
-    return np.block([[blk_a, off_b], [off_c, blk_d]])
-
-
 def m_matrix_casimir_identity(params, rep, lam):
     """Scalar collapse of the block defect matrix times its reflection.
+
+    The block matrix M is amplitudes.transmission_blocks on rep.
 
     Verifies M(lam) M(-lam) = scalar * I and the partially transposed
     companion M^{t1}(lam+i) M^{t1}(-lam+i) = scalar * I, with
@@ -285,10 +271,10 @@ def m_matrix_casimir_identity(params, rep, lam):
                   * cmath.sin(mu * (-1j * lam + s + 0.5)))
         via_casimir = 0.5 * cmath.cos(2j * mu * lam) - 0.25 * cas
     eye = np.eye(2 * rep.dim, dtype=complex)
-    plain = _block_matrix(params, rep, lam) \
-        @ _block_matrix(params, rep, -lam)
-    crossed = _block_matrix(params, rep, lam + 1j, transpose_aux=True) \
-        @ _block_matrix(params, rep, -lam + 1j, transpose_aux=True)
+    blocks = amplitudes.transmission_blocks
+    plain = blocks(rep, lam) @ blocks(rep, -lam)
+    crossed = _aux_partial_transpose(blocks(rep, lam + 1j)) \
+        @ _aux_partial_transpose(blocks(rep, -lam + 1j))
     r1 = float(np.max(np.abs(plain - scalar * eye)))
     r2 = float(np.max(np.abs(crossed - scalar * eye)))
     r3 = abs(scalar - via_casimir)

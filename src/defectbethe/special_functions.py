@@ -186,14 +186,12 @@ class GammaProductSpec:
     def __post_init__(self):
         if not self.factors:
             raise ValueError("empty product")
-        groups = {}
         for f in self.factors:
             if f.sign not in (+1, -1):
                 raise ValueError(f"sign must be +/-1, got {f.sign}")
             if not f.b > 0.0:
                 raise ValueError(f"step must be positive, got {f.b}")
-            groups.setdefault(round(f.b, 12), []).append(f)
-        for b, fams in groups.items():
+        for b, fams in self._step_groups().items():
             m0 = sum(f.sign for f in fams)
             m1 = sum(f.sign * (f.a + f.c) for f in fams)
             m2 = sum(f.sign * (f.a + f.c) ** 2 for f in fams)
@@ -209,29 +207,23 @@ class GammaProductSpec:
                     f"(m2={m2:.3e}); product only exists in the renormalized "
                     f"sense (pass renormalized=True)")
 
-    def renorm_coefficient(self):
-        """c1 = sum over step groups of M2/(2b); 0 for a balanced product."""
+    def _step_groups(self):
+        """Factors grouped by step b (rounded to 12 places), in order."""
         groups = {}
         for f in self.factors:
             groups.setdefault(round(f.b, 12), []).append(f)
+        return groups
+
+    def renorm_coefficient(self):
+        """c1 = sum over step groups of M2/(2b); 0 for a balanced product."""
         return sum(
             sum(f.sign * (f.a + f.c) ** 2 for f in fams) / (2.0 * b)
-            for b, fams in groups.items())
-
-    def log_term(self, k):
-        """Sum_i sign_i log Gamma(a_i + b_i k + c_i) for array k."""
-        total = 0.0 + 0.0j
-        for f in self.factors:
-            total = total + f.sign * log_gamma(f.argument(k))
-        return total
+            for b, fams in self._step_groups().items())
 
     def tail_moments(self):
         """Per-group offset moments M2..M8 plus max |offset|, for the tail."""
         out = []
-        groups = {}
-        for f in self.factors:
-            groups.setdefault(round(f.b, 12), []).append(f)
-        for b, fams in groups.items():
+        for b, fams in self._step_groups().items():
             m = [sum(f.sign * (f.a + f.c) ** j for f in fams) for j in range(2, 9)]
             dmax = max(abs(f.a + f.c) for f in fams)
             out.append((float(b), m, dmax))
@@ -239,10 +231,11 @@ class GammaProductSpec:
 
 
 def _tail_correction(moments, K):
-    """Asymptotic sum_{k>=K} [log_term(k) - c1_b/k], with a truncation estimate.
+    """Asymptotic sum_{k>=K} [t(k) - c1_b/k], with a truncation estimate.
 
-    `moments` is spec.tail_moments().  Stirling-expanding
-    sum_i s_i log Gamma(b k + d_i) in 1/k, the balance conditions
+    t(k) = sum_i s_i log Gamma(a_i + b_i k + c_i) is the log of the k-th
+    term of the product, and `moments` is spec.tail_moments().
+    Stirling-expanding sum_i s_i log Gamma(b k + d_i) in 1/k, the balance conditions
     M0 = M1 = 0 kill the O(k ln k), O(ln k) and O(1) parts, and the O(1/k)
     coefficient is c1_b = M2/(2b) (zero for a balanced product, subtracted
     explicitly for a renormalized one).  The surviving coefficients depend
@@ -304,11 +297,11 @@ def _choose_terms(spec, tol, start_terms, max_terms):
 
 
 def _log_term_sums(specs, K):
-    """sum_{k<K} log_term(k) for each spec; all share K and a factor count.
+    """sum_{k<K} t(k) for each spec; all share K and a factor count.
 
-    The (spec, factor, k) arguments are built as a + b*k + c and summed
-    over factors in spec order, then over k, exactly as log_term does, so
-    each value is bit-identical to np.sum(spec.log_term(np.arange(K))).
+    The (spec, factor, k) arguments are built as a + b*k + c and their
+    log-Gammas summed over factors in spec order, then over k, so each
+    value is bit-identical to the same sum taken one spec at a time.
     """
     n, F = len(specs), len(specs[0].factors)
 
@@ -364,7 +357,7 @@ def gamma_products(specs, tol=1e-12, start_terms=64, max_terms=65536):
     for spec, (K, tail, trunc), log_sum in zip(specs, chosen, log_sums):
         log_sum = complex(log_sum)
         if spec.renormalized:
-            # sum_{k<K} log_term - c1 psi(K) -> renormalized value as K
+            # sum_{k<K} t(k) - c1 psi(K) -> renormalized value as K
             # grows, since psi(K) = H_{K-1} - euler_gamma soaks up the c1/k
             # drift
             log_sum -= spec.renorm_coefficient() * float(sp_digamma(K))
@@ -404,11 +397,12 @@ def _cutoff_for(kernel, tol):
 
 
 def _half_line_quad(integrand, freq, omega_max, tol):
-    """quad of an oscillating integrand over [0, omega_max].
+    """quad of an integrand over [0, omega_max], oscillating at freq.
 
     Subdivides at the oscillation period 2 pi/|freq| so adaptive quad
-    locks on.  Returns (value, abs_err, evals); raises NonConvergence
-    carrying quad's own message when quad reports a failure.
+    locks on (freq = 0: no subdivision).  Returns (value, abs_err, evals);
+    raises NonConvergence carrying quad's own message when quad reports a
+    failure.
     """
     pts = None
     if abs(freq) > 0.5:
@@ -471,7 +465,7 @@ def inverse_fourier_even(kernel, x, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-def verify_gamma_integral_identity(kind, mu_param, beta_param=None, tol=None):
+def verify_gamma_integral_identity(kind, mu_param, beta_param=None):
     """Residual of a regularized exponential-integral vs Gamma identity.
 
     kind='use1' (mu_param > -1):
@@ -492,7 +486,8 @@ def verify_gamma_integral_identity(kind, mu_param, beta_param=None, tol=None):
     side is evaluated through gamma_product, the left through quadrature:
     two independent code paths.
 
-    Returns |LHS - RHS|.
+    Returns |LHS - RHS|.  Raises NonConvergence, with quad's message, when
+    the quadrature fails.
     """
     if kind == "use1":
         mu = float(mu_param)
@@ -507,9 +502,7 @@ def verify_gamma_integral_identity(kind, mu_param, beta_param=None, tol=None):
                           - math.exp(-2.0 * w)) / w
 
         upper = max(40.0, 80.0 / (1.0 + mu))
-        out = quad(integrand, 0.0, upper, limit=400, epsabs=1e-13,
-                   epsrel=1e-13, full_output=1)
-        lhs = out[0]
+        lhs, _, _ = _half_line_quad(integrand, 0.0, upper, 1e-9)
         rhs = (log_gamma((mu + 1.0) / 4.0) - log_gamma((mu + 3.0) / 4.0)).real
         return abs(lhs - rhs)
 
@@ -529,21 +522,15 @@ def verify_gamma_integral_identity(kind, mu_param, beta_param=None, tol=None):
             return 0.25 * d3 / (x * math.sinh(x) * math.sinh(beta * x))
 
         upper = max(40.0, 80.0 / (1.0 + mu))
-        out = quad(integrand, 0.0, upper, limit=400, epsabs=1e-13,
-                   epsrel=1e-13, full_output=1)
-        lhs = out[0]
+        lhs, _, _ = _half_line_quad(integrand, 0.0, upper, 1e-9)
 
-        factors = tuple(
+        # D3 of the log-product, as one balanced product of Gamma factors
+        spec = GammaProductSpec(factors=tuple(
             GammaFactor(sign=int(math.copysign(1, c)), a=0.5 * (mu + j),
                         b=beta, c=0.5 * beta + 0.5)
             for j, c in enumerate(coeff) for _ in range(int(abs(c)))
-        )
-        # evaluate D3 of the log-product directly from the balanced spec
-        spec = GammaProductSpec(factors=factors)
-        K = 512
-        rhs = np.sum(spec.log_term(np.arange(K)))
-        tail, _, _ = _tail_correction(spec.tail_moments(), K)
-        rhs = (rhs + tail).real
+        ))
+        rhs = math.log(abs(gamma_product(spec).value))
         return abs(lhs - rhs)
 
     raise ValueError(f"unknown identity kind {kind!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionCapExceeded, DomainError, NoConvergence,
+from .errors import (DimensionCapExceeded, DomainError, NonConvergence,
                      PoleError, SectorLeakage, SingularJacobian)
 from .lax_operators import (d_defect_lax, d_r_matrix, defect_lax,
                             permutation_matrix, r_matrix, regularity_scale,
@@ -322,22 +322,31 @@ def hermiticity_residual(mat):
 # ---------------------------------------------------------------------------
 
 
-def _ratio(params, order, lam):
-    """e_n(lam): phase ratio with poles at lam = -i n/2 (up to periodicity)."""
-    if params.is_rational:
-        num = lam + 0.5j * order
-        den = lam - 0.5j * order
-    else:
+def elementary_ratio(kind, params, order, lam):
+    """Ratio functions e_n (sinh/linear) and g_n (cosh, trig only)."""
+    lam = complex(lam)
+    if kind == "e":
+        if params.is_rational:
+            num, den = lam + 0.5j * order, lam - 0.5j * order
+        else:
+            mu = params.anisotropy
+            num = np.sinh(mu * (lam + 0.5j * order))
+            den = np.sinh(mu * (lam - 0.5j * order))
+    elif kind == "g":
+        if params.is_rational:
+            raise DomainError("g-type ratios exist only for the trig model")
         mu = params.anisotropy
-        num = np.sinh(mu * (lam + 0.5j * order))
-        den = np.sinh(mu * (lam - 0.5j * order))
+        num = np.cosh(mu * (lam + 0.5j * order))
+        den = np.cosh(mu * (lam - 0.5j * order))
+    else:
+        raise DomainError(f"unknown ratio kind {kind!r}")
     if abs(den) < 1e-13 * (1.0 + abs(num)):
-        raise PoleError(f"ratio function pole at lam={lam}, order={order}")
-    return num / den
+        raise PoleError(f"{kind}_{order} pole at lam={lam}")
+    return complex(num / den)
 
 
 def _ratio_logderiv(params, order, lam):
-    """d/dlam log e_n(lam)."""
+    """d/dlam log e_n(lam), e_n = elementary_ratio("e", ...)."""
     if params.is_rational:
         return 1.0 / (lam + 0.5j * order) - 1.0 / (lam - 0.5j * order)
     mu = params.anisotropy
@@ -357,12 +366,12 @@ def _bae_terms(chain, roots):
     m = len(roots)
     p = np.zeros(m, dtype=complex)
     for i, lam in enumerate(roots):
-        val = _ratio(params, y, lam - chain.theta) \
-            * _ratio(params, 1.0, lam) ** chain.N
+        val = elementary_ratio("e", params, y, lam - chain.theta) \
+            * elementary_ratio("e", params, 1.0, lam) ** chain.N
         for j in range(m):
             if j == i:
                 continue
-            val = val / _ratio(params, 2.0, lam - roots[j])
+            val = val / elementary_ratio("e", params, 2.0, lam - roots[j])
         p[i] = val
     return p
 
@@ -382,7 +391,7 @@ def solve_bae(chain, M, seeds=None, tol=1e-12, max_iter=100,
     Works directly with F_i = P_i - 1 = 0 where P_i is the full phase
     product, so no logarithm branch bookkeeping is needed; the Jacobian
     uses the analytic logarithmic derivatives of the ratio functions.
-    Raises NoConvergence (carrying the best residual seen) when the
+    Raises NonConvergence (carrying the best residual seen) when the
     iteration stalls.  Coincident roots solve the product form exactly
     but make the Bethe vector vanish, so they are rejected as
     SingularJacobian unless allow_coincident is set.
@@ -439,7 +448,7 @@ def solve_bae(chain, M, seeds=None, tol=1e-12, max_iter=100,
             step = step * (0.5 / biggest)
         roots = roots + step
 
-    raise NoConvergence(
+    raise NonConvergence(
         f"Bethe solver stalled at residual {best:.3e} after {max_iter} steps",
         best_residual=best, last_iterate=best_roots.tolist())
 

@@ -26,7 +26,6 @@ from defectbethe.amplitudes import (
     corrigan_product_spec,
     corrigan_variables,
     dispersion,
-    elementary_ratio,
     kernel_hat,
     kink_S_amplitude,
     kink_S_amplitudes,
@@ -58,6 +57,7 @@ from defectbethe.spin_algebra import (
     ModelParameters,
     build_rep,
 )
+from defectbethe.spin_chain import elementary_ratio
 from defectbethe.special_functions import (
     _tail_correction,
     gamma_products,
@@ -160,6 +160,21 @@ def test_kernel_registry_guards(xxx, repulsive4, attractive4):
         kernel_hat("r_t", 0.3, att12, order=4.0)  # m = 3
     with pytest.raises(DomainError):
         kernel_hat("t_b", 0.3, attractive4, order=5.0)  # 2S outside (0, nu)
+
+
+def test_breather_kernels_reject_non_decay(attractive4):
+    # cosh-ratio breather kernels over cosh((nu - 1) w/2) grow or level off
+    # for r_b and R when nu <= 2, and for t_b when 2S >= 2 nu - 2
+    for nu in (1.6, 2.0):
+        params = ModelParameters.xxz(math.pi / nu, ATTRACTIVE)
+        for name in ("r_b", "R"):
+            with pytest.raises(DomainError, match="does not decay"):
+                kernel_hat(name, 0.3, params)
+    att16 = ModelParameters.xxz(math.pi / 1.6, ATTRACTIVE)
+    with pytest.raises(DomainError, match="does not decay"):
+        kernel_hat("t_b", 0.3, att16, order=1.4)
+    assert abs(kernel_hat("t_b", 80.0, att16, order=1.0)) < 1e-3
+    assert abs(kernel_hat("r_b", 40.0, attractive4)) < 1e-12
 
 
 def test_kernels_are_even(xxx, repulsive4, attractive4):

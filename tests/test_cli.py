@@ -161,6 +161,15 @@ def test_amp_breather_requires_attractive(capsys):
     assert "attractive" in err
 
 
+def test_amp_breather_s_non_decaying_kernel(capsys):
+    # nu = 1.6: the r_b kernel grows, so the integral route is refused
+    code, _, err = run_cli(capsys, [
+        "amp", "breather-s", "--model", "xxz", "--mu", str(math.pi / 1.6),
+        "--regime", "attractive", "--method", "both", "--lambda", "0.4"])
+    assert code == 2
+    assert "does not decay" in json.loads(err)["error"]
+
+
 def test_amp_breather_t_runs(capsys):
     code, out, _ = run_cli(capsys, [
         "amp", "breather-t", "--model", "xxz", "--mu", str(math.pi / 4),

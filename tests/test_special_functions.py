@@ -284,6 +284,10 @@ def test_fourier_routes_raise_on_quad_failure(monkeypatch):
         fourier_sine_integral(kern, 1.3)
     with pytest.raises(NonConvergence, match="maximum number of subdivisions"):
         inverse_fourier_even(kern, 0.4)
+    with pytest.raises(NonConvergence, match="maximum number of subdivisions"):
+        verify_gamma_integral_identity("use1", 1.0)
+    with pytest.raises(NonConvergence, match="maximum number of subdivisions"):
+        verify_gamma_integral_identity("use2", 1.3, 1.0)
 
 
 def test_fourier_requires_decaying_kernel():

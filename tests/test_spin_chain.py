@@ -17,7 +17,7 @@ from defectbethe import spin_chain
 from defectbethe.errors import (
     DimensionCapExceeded,
     DomainError,
-    NoConvergence,
+    NonConvergence,
     PoleError,
     SectorLeakage,
     SingularJacobian,
@@ -421,7 +421,7 @@ def test_coincident_roots_rejected(xxx):
 
 def test_solver_failure_carries_diagnostics(xxx):
     chain = ChainSpec(N=2, defect_spin=0.5, params=xxx, theta=0.0)
-    with pytest.raises(NoConvergence) as excinfo:
+    with pytest.raises(NonConvergence) as excinfo:
         solve_bae(chain, 1, seeds=[40.0 + 3.0j], max_iter=2)
     assert excinfo.value.best_residual is not None
     assert len(excinfo.value.last_iterate) == 1
