@@ -25,7 +25,7 @@ from . import lax_operators as lax
 from . import physics_checks as checks
 from . import special_functions as sf
 from . import spin_chain
-from .errors import DefectBetheError
+from .errors import DefectBetheError, NonConvergence, RootOfUnityError
 from .spin_algebra import (ATTRACTIVE, REPULSIVE, ModelParameters, build_rep)
 
 CSV_FIELDS = ["command", "params", "lambda", "re", "im", "err", "residual",
@@ -130,6 +130,25 @@ def _spin_list(args, default):
     return args.spin if args.spin else default
 
 
+def _rep_spin_list(args, params, base):
+    """--spin as given, else spins 1/2 to 2 less those whose representation
+    degenerates at this anisotropy; the dropped ones are named in base as
+    skipped_spins.  An explicit --spin is never dropped."""
+    if args.spin:
+        return args.spin
+    spins, skipped = [], []
+    for spin in (0.5, 1.0, 1.5, 2.0):
+        try:
+            build_rep(spin, params)
+        except RootOfUnityError:
+            skipped.append(spin)
+        else:
+            spins.append(spin)
+    if skipped:
+        base["skipped_spins"] = skipped
+    return spins
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -162,7 +181,7 @@ def _cmd_verify(args, cfg, emitter):
         report(worst, tol)
     elif args.what == "rll":
         tol = _tolerance(args, cfg, "rll", 1e-12)
-        for spin in _spin_list(args, [0.5, 1.0, 1.5, 2.0]):
+        for spin in _rep_spin_list(args, params, base):
             rep = build_rep(spin, params)
             pairs = rng.uniform(-2.0, 2.0, size=(args.samples, 2))
             worst = max(lax.rll_residual(params, rep, l1, l2)
@@ -199,13 +218,13 @@ def _cmd_verify(args, cfg, emitter):
     elif args.what == "casimir":
         tol = _tolerance(args, cfg, "casimir", 1e-12)
         grid = np.linspace(0.0, 1.8, args.samples)
-        for spin in _spin_list(args, [0.5, 1.0, 1.5, 2.0]):
+        for spin in _rep_spin_list(args, params, base):
             rep = build_rep(spin, params)
             worst = max(checks.m_matrix_casimir_identity(params, rep, x)
                         for x in grid)
             report(worst, tol, spin=spin)
     elif args.what == "defect-spectrum":
-        for spin in _spin_list(args, [0.5, 1.0, 1.5, 2.0]):
+        for spin in _rep_spin_list(args, params, base):
             rep = build_rep(spin, params)
             rpt = checks.defect_spectrum_report(params, rep, 0.73,
                                                 tol=args.tol)
@@ -327,7 +346,11 @@ def _cmd_amp(args, cfg, emitter):
 # ---------------------------------------------------------------------------
 
 def _bae_solutions(chain, M, rng, n_scatter=6):
-    """Scan deterministic and seeded starting points, dedupe solutions."""
+    """Scan deterministic and seeded starting points, dedupe solutions.
+
+    Also returns what the solver reported on the seeds that failed: the
+    number of seeds tried, failures per exception class and the smallest
+    best_residual of a NonConvergence."""
     seeds = []
     for center in np.linspace(-1.2, 1.2, 7):
         seeds.append([center + 0.17 * k for k in range(M)])
@@ -337,17 +360,24 @@ def _bae_solutions(chain, M, rng, n_scatter=6):
     for _ in range(n_scatter):
         seeds.append((rng.uniform(-1.5, 1.5, M)
                       + 1j * rng.uniform(-0.6, 0.6, M)).tolist())
-    found = {}
+    found, failures, residuals = {}, {}, []
     for seed in seeds:
         try:
             state = spin_chain.solve_bae(chain, M, seeds=seed)
-        except DefectBetheError:
+        except DefectBetheError as exc:
+            name = type(exc).__name__
+            failures[name] = failures.get(name, 0) + 1
+            if isinstance(exc, NonConvergence) \
+                    and exc.best_residual is not None:
+                residuals.append(exc.best_residual)
             continue
         key = tuple((round(z.real, 8), round(z.imag, 8))
                     for z in state.roots)
         if key not in found:
             found[key] = state
-    return [found[k] for k in sorted(found)]
+    diagnostics = {"seeds_tried": len(seeds), "failures": failures,
+                   "best_residual": min(residuals, default=None)}
+    return [found[k] for k in sorted(found)], diagnostics
 
 
 def _cmd_chain(args, cfg, emitter):
@@ -385,8 +415,10 @@ def _cmd_chain(args, cfg, emitter):
     # bae
     tol = _tolerance(args, cfg, "bae", 1e-10)
     rng = np.random.default_rng(args.seed)
-    states = _bae_solutions(chain, args.magnons, rng)
+    states, diagnostics = _bae_solutions(chain, args.magnons, rng)
     failed = not states
+    if failed:
+        _write_error(args, "no Bethe root set found", **diagnostics)
     for s_idx, state in enumerate(states):
         res = spin_chain.bae_residual(chain, state)
         failed = failed or res > tol
@@ -502,6 +534,15 @@ def build_parser():
     return parser
 
 
+def _write_error(args, message, **extra):
+    """One JSON line on stderr: the command, the message, the arguments."""
+    err = {"command": args.command, "error": message,
+           "params": {k: v for k, v in vars(args).items()
+                      if k not in ("fn",) and not callable(v)}}
+    err.update(extra)
+    sys.stderr.write(json.dumps(err, default=str) + "\n")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -518,10 +559,7 @@ def main(argv=None):
             pass  # stdout not a real fd (test capture); nothing to silence
         return 141
     except (DefectBetheError, ValueError, OSError) as exc:
-        err = {"command": args.command, "error": str(exc),
-               "params": {k: v for k, v in vars(args).items()
-                          if k not in ("fn",) and not callable(v)}}
-        sys.stderr.write(json.dumps(err, default=str) + "\n")
+        _write_error(args, str(exc))
         return 2
 
 

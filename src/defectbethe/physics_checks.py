@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import amplitudes
 from .errors import (DegenerateSpectrum, DomainError, NotRealizable,
@@ -72,6 +71,9 @@ def closed_form_defect_eigenvalues(params, rep, lam):
 
 def _multiset_match_residual(closed, diag):
     """Best-case max pairing distance between two eigenvalue multisets."""
+    # imported here so that only verify defect-spectrum pays for scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     closed = np.asarray(closed, dtype=complex)
     diag = np.asarray(diag, dtype=complex)
     cost = np.abs(closed[:, None] - diag[None, :])

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import digamma as sp_digamma, zeta as sp_zeta
 
 from .errors import NonConvergence, PoleError
@@ -404,6 +403,10 @@ def _half_line_quad(integrand, freq, omega_max, tol):
     raises NonConvergence carrying quad's own message when quad reports a
     failure.
     """
+    # imported here, not at module level: scipy.integrate is most of the
+    # package's import time and only the integral routes need it
+    from scipy.integrate import quad
+
     pts = None
     if abs(freq) > 0.5:
         period = 2.0 * math.pi / abs(freq)

@@ -109,6 +109,41 @@ def test_verify_seed_determinism(capsys):
     assert json_lines(out1)[0]["residual"] != json_lines(out3)[0]["residual"]
 
 
+NU4 = ["--model", "xxz", "--mu", "0.7853981633974483"]  # q^8 = 1
+
+
+@pytest.mark.parametrize("regime", ["repulsive", "attractive"])
+@pytest.mark.parametrize("check", ["rll", "casimir", "defect-spectrum"])
+def test_verify_default_spins_skip_root_of_unity(capsys, check, regime):
+    # at nu = 4 the spin-2 representation degenerates ([4]_q = 0)
+    code, out, err = run_cli(capsys, [
+        "verify", check, *NU4, "--regime", regime, "--samples", "4"])
+    assert code == 0, err
+    recs = json_lines(out)
+    assert sorted({r["params"]["spin"] for r in recs}) == [0.5, 1.0, 1.5]
+    assert all(r["params"]["skipped_spins"] == [2.0] for r in recs)
+    assert all(r["params"]["passed"] is True for r in recs)
+
+
+@pytest.mark.parametrize("check", ["rll", "casimir", "defect-spectrum"])
+def test_verify_explicit_degenerate_spin_still_fails(capsys, check):
+    code, out, err = run_cli(capsys, [
+        "verify", check, *NU4, "--regime", "repulsive", "--spin", "2",
+        "--samples", "4"])
+    assert code == 2
+    assert out == ""
+    assert "degenerates" in json.loads(err)["error"]
+
+
+def test_verify_default_spins_none_skipped(capsys):
+    code, out, _ = run_cli(capsys, [
+        "verify", "rll", "--model", "xxz", "--mu", "0.3", "--samples", "3"])
+    assert code == 0
+    recs = json_lines(out)
+    assert [r["params"]["spin"] for r in recs] == [0.5, 1.0, 1.5, 2.0]
+    assert all("skipped_spins" not in r["params"] for r in recs)
+
+
 # ---------------------------------------------------------------------------
 # amp
 # ---------------------------------------------------------------------------
@@ -210,6 +245,30 @@ def test_chain_bae_finds_symmetric_pair(capsys):
     for rec in json_lines(out):
         assert rec["residual"] <= 1e-10
         assert rec["params"]["passed"] is True
+
+
+def test_chain_bae_reports_solver_failures(capsys):
+    # a known hard case: no seed converges to a root set
+    code, out, err = run_cli(capsys, [
+        "chain", "bae", "--N", "8", "--spin", "0.5", "--magnons", "4",
+        "--seed", "359753"])
+    assert code == 1
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    diag = json.loads(line)
+    assert diag["command"] == "chain"
+    assert diag["params"]["seed"] == 359753
+    assert diag["seeds_tried"] == 20
+    assert sum(diag["failures"].values()) == 20
+    assert diag["failures"]["NonConvergence"] >= 1
+    assert 0.0 < diag["best_residual"] < math.inf
+
+
+def test_chain_bae_success_writes_no_diagnostics(capsys):
+    code, _, err = run_cli(capsys, [
+        "chain", "bae", "--N", "2", "--spin", "0.5", "--magnons", "1"])
+    assert code == 0
+    assert err == ""
 
 
 def test_chain_diagonalize_three_site(capsys):

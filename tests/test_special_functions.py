@@ -278,7 +278,7 @@ def test_fourier_routes_raise_on_quad_failure(monkeypatch):
         # quad's full_output form when ier != 0: the message is appended
         return 0.1, 1e-3, {"neval": 12600, "last": 600}, msg
 
-    monkeypatch.setattr(special_functions, "quad", failing_quad)
+    monkeypatch.setattr("scipy.integrate.quad", failing_quad)
     kern = lambda w: math.exp(-0.9 * w)
     with pytest.raises(NonConvergence, match="maximum number of subdivisions"):
         fourier_sine_integral(kern, 1.3)
