@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotRealizable, PoleError, RepMismatch
-from .lax_operators import two_site_operator
+from .errors import (DomainError, NotRealizable, PoleError, RepMismatch,
+                     RootOfUnityError)
+from .lax_operators import defect_lax, exchange_sides, yang_baxter_residual
 from .special_functions import (AmplitudeValue, GammaFactor, GammaProductSpec,
                                 fourier_log_integral, gamma_product,
                                 gamma_products, inverse_fourier_even,
@@ -43,16 +44,10 @@ def branch_index(params, spin):
     m nu < 2S < (m+1) nu.  Values on a window edge are hard errors since
     the kernels degenerate there.
     """
-    y = 2.0 * spin
     if params.is_rational:
         return 0
-    nu = params.nu
-    width = 2.0 * nu if params.regime_name == REPULSIVE else nu
-    m = int(math.floor(y / width))
-    if m < 0 or min(y - m * width, (m + 1) * width - y) < 1e-10:
-        raise DomainError(
-            f"2S = {y} sits on or outside the branch windows (width {width})")
-    return m
+    width = 2.0 * params.nu if params.regime_name == REPULSIVE else params.nu
+    return _window(2.0 * spin, width)
 
 
 @dataclass(frozen=True)
@@ -139,14 +134,14 @@ def _sinh_ratio(a, b, w):
     return math.sinh(a * w / 2.0) / math.sinh(b * w / 2.0)
 
 
-def kernel_hat(name, w, params, order=None, branch=None):
+def kernel_hat(name, w, params, order=None):
     """Fourier transform of a named convolution kernel at real w.
 
     Registry (rational family): a, sigma0, r_s, r_t.
     Registry (trig): a, b, sigma0, r_s, r_t plus the breather-sector
     kernels sigma0_b, r_b, t_b, R, B (attractive regime only).
-    `order` carries n (for a, b) or y = 2S (for r_t, t_b, B); `branch`
-    optionally overrides the window index, normally derived from order.
+    `order` carries n (for a, b) or y = 2S (for r_t, t_b, B); the window
+    index is derived from it.
     Outside-window or non-decaying combinations raise DomainError.
     """
     w = float(w)
@@ -167,11 +162,11 @@ def kernel_hat(name, w, params, order=None, branch=None):
     nu = params.nu
     if name == "a":
         _need(order, name)
-        m = branch if branch is not None else _window(order, 2.0 * nu)
+        m = _window(order, 2.0 * nu)
         return _sinh_ratio((2 * m + 1) * nu - order, nu, w)
     if name == "b":
         _need(order, name)
-        m = branch if branch is not None else _window(order, nu)
+        m = _window(order, nu)
         if m > 1:
             raise DomainError("b-kernel does not decay for branch m >= 2")
         return -_sinh_ratio(order - 2 * m * nu, nu, w)
@@ -189,10 +184,10 @@ def kernel_hat(name, w, params, order=None, branch=None):
     if name == "r_t":
         _need(order, name)
         if regime == REPULSIVE:
-            m = branch if branch is not None else _window(order, 2.0 * nu)
+            m = _window(order, 2.0 * nu)
             return _sinh_ratio((2 * m + 1) * nu - order, nu - 1.0, w) \
                 / (2.0 * math.cosh(w / 2.0))
-        m = branch if branch is not None else _window(order, nu)
+        m = _window(order, nu)
         if m > 1:
             raise DomainError(
                 "attractive r_t integrand does not decay for m >= 2; "
@@ -221,7 +216,7 @@ def kernel_hat(name, w, params, order=None, branch=None):
         return -math.cosh(w / 2.0) / ch
     if name == "B":
         _need(order, name)
-        m = branch if branch is not None else _window(order, nu)
+        m = _window(order, nu)
         if m > 1:
             raise DomainError("B-kernel does not decay for branch m >= 2")
         return _sinh_ratio(order - 2 * m * nu, 1.0, w) / (2.0 * ch)
@@ -292,8 +287,7 @@ def state_density(params, data, holes, lam, N):
         corr += inverse_fourier_even(
             lambda w: kernel_hat("r_s", w, params), lam - h)[0]
     corr += inverse_fourier_even(
-        lambda w: kernel_hat("r_t", w, params, order=y,
-                             branch=data.branch_index),
+        lambda w: kernel_hat("r_t", w, params, order=y),
         lam - data.rapidity)[0]
     return float(eps + corr / N)
 
@@ -303,39 +297,42 @@ def state_density(params, data, holes, lam, N):
 # ---------------------------------------------------------------------------
 
 
+def _odd_ladder(z, gamma, p, q):
+    """Ladder of Gamma(2g k + p_i + z) Gamma(2g k + q_i - z) over
+    Gamma(2g k + q_i + z) Gamma(2g k + p_i - z), i = 1, 2, g = gamma.
+
+    z -> -z inverts it.  The kink and both transmission ladders are this
+    one with their own offsets p and q.
+    """
+    step = 2 * gamma
+    return GammaProductSpec(factors=(
+        _F(+1, z, step, p[0]), _F(+1, z, step, p[1]),
+        _F(+1, -z, step, q[0]), _F(+1, -z, step, q[1]),
+        _F(-1, z, step, q[0]), _F(-1, z, step, q[1]),
+        _F(-1, -z, step, p[0]), _F(-1, -z, step, p[1]),
+    ))
+
+
 def kink_product_spec(z, gamma):
     """Soliton-soliton amplitude ladder in the variable z."""
     g = gamma
-    return GammaProductSpec(factors=(
-        _F(+1, z, 2 * g, 2 * g), _F(+1, z, 2 * g, 1.0),
-        _F(+1, -z, 2 * g, g), _F(+1, -z, 2 * g, g + 1.0),
-        _F(-1, z, 2 * g, g), _F(-1, z, 2 * g, g + 1.0),
-        _F(-1, -z, 2 * g, 2 * g), _F(-1, -z, 2 * g, 1.0),
-    ))
+    return _odd_ladder(z, g, (2 * g, 1.0), (g, g + 1.0))
 
 
 def transmission_product_spec_repulsive(z_hat, gamma, shifted_spin, m):
     """Repulsive transmission ladder; m shifts the offset by -m per window."""
     g = gamma
     u = g * shifted_spin - m + g / 2.0
-    return GammaProductSpec(factors=(
-        _F(+1, z_hat, 2 * g, u + g), _F(+1, z_hat, 2 * g, -u + g + 1.0),
-        _F(+1, -z_hat, 2 * g, u), _F(+1, -z_hat, 2 * g, -u + 2 * g + 1.0),
-        _F(-1, z_hat, 2 * g, u), _F(-1, z_hat, 2 * g, -u + 2 * g + 1.0),
-        _F(-1, -z_hat, 2 * g, u + g), _F(-1, -z_hat, 2 * g, -u + g + 1.0),
-    ))
+    return _odd_ladder(z_hat, g, (u + g, -u + g + 1.0),
+                       (u, -u + 2 * g + 1.0))
 
 
 def transmission_product_spec_attractive(z_hat, gamma, coupling, m):
     """Attractive transmission ladder; coupling = S + gamma/2."""
     g = gamma
     x = coupling - m * (g + 1.0)
-    return GammaProductSpec(factors=(
-        _F(+1, z_hat, 2 * g, -x + 2 * g + 0.5), _F(+1, z_hat, 2 * g, x + 0.5),
-        _F(+1, -z_hat, 2 * g, -x + g + 0.5), _F(+1, -z_hat, 2 * g, x + g + 0.5),
-        _F(-1, z_hat, 2 * g, -x + g + 0.5), _F(-1, z_hat, 2 * g, x + g + 0.5),
-        _F(-1, -z_hat, 2 * g, -x + 2 * g + 0.5), _F(-1, -z_hat, 2 * g, x + 0.5),
-    ))
+    return _odd_ladder(z_hat, g, (-x + 2 * g + 0.5, x + 0.5),
+                       (-x + g + 0.5, x + g + 0.5))
 
 
 def corrigan_product_spec(z1, z2, gamma):
@@ -418,11 +415,9 @@ def s_matrix(params, lam):
 
 def s_matrix_ybe_residual(params, lam1, lam2, lam3=0.0):
     """Yang-Baxter residual of s_matrix on three kink spaces."""
-    dims = [2, 2, 2]
-    s12 = two_site_operator(s_matrix(params, lam1 - lam2), dims, 0, 1)
-    s13 = two_site_operator(s_matrix(params, lam1 - lam3), dims, 0, 2)
-    s23 = two_site_operator(s_matrix(params, lam2 - lam3), dims, 1, 2)
-    return float(np.max(np.abs(s12 @ s13 @ s23 - s23 @ s13 @ s12)))
+    return yang_baxter_residual(s_matrix(params, lam1 - lam2),
+                                s_matrix(params, lam1 - lam3),
+                                s_matrix(params, lam2 - lam3))
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +457,7 @@ def transmission_by_integral(params, data, lam_hat, tol=1e-11):
     _check_regime(params, data)
     y = 2.0 * data.spin
     return fourier_log_integral(
-        lambda w: kernel_hat("r_t", w, params, order=y,
-                             branch=data.branch_index),
+        lambda w: kernel_hat("r_t", w, params, order=y),
         lam_hat, tol=tol)
 
 
@@ -521,18 +515,12 @@ def transmission_blocks(rep, lam):
 
     Undeformed rep (deformation None): A, D = (i lam + 1/2) +- Sz,
     B = S-, C = S+.  Deformed by mu: A, D = sin(mu (i lam +- Sz + 1/2)),
-    B = sin(mu) S-, C = sin(mu) S+.
+    B = sin(mu) S-, C = sin(mu) S+.  That is -i times the spin-S Lax
+    matrix of rep's family at -lam.
     """
-    lam = complex(lam)
-    mu = rep.deformation
-    if mu is None:
-        eye = np.eye(rep.dim)
-        return np.block([[(1j * lam + 0.5) * eye + rep.Sz, rep.Sm],
-                         [rep.Sp, (1j * lam + 0.5) * eye - rep.Sz]])
-    sz = np.diag(rep.Sz)
-    return np.block([
-        [np.diag(np.sin(mu * (1j * lam + sz + 0.5))), math.sin(mu) * rep.Sm],
-        [math.sin(mu) * rep.Sp, np.diag(np.sin(mu * (1j * lam - sz + 0.5)))]])
+    family = ModelParameters.xxx() if rep.deformation is None \
+        else ModelParameters.xxz(rep.deformation)
+    return -1j * defect_lax(family, rep, -complex(lam))
 
 
 def _attractive_template(data):
@@ -561,25 +549,29 @@ def _attractive_template(data):
 
 
 def shifted_spin_rep(params, data):
-    """Convenience builder for the rep transmission_matrix expects."""
-    if data.regime == "rational":
-        return build_rep(data.shifted_spin, ModelParameters.xxx())
-    if data.regime == REPULSIVE:
-        renorm = ModelParameters.xxz(math.pi * data.gamma)
-        return build_rep(data.shifted_spin, renorm)
-    raise NotRealizable("no finite attractive representation")
+    """The rep transmission_matrix expects, where one exists.
+
+    Raises NotRealizable in the attractive regime, for a renormalized
+    deformation pi*gamma outside (0, pi), and for a degenerate rep.
+    """
+    if data.regime == ATTRACTIVE:
+        raise NotRealizable("no finite attractive representation")
+    try:
+        family = ModelParameters.xxx() if data.regime == "rational" \
+            else ModelParameters.xxz(math.pi * data.gamma)
+        return build_rep(data.shifted_spin, family)
+    except (ValueError, RootOfUnityError) as exc:
+        raise NotRealizable(
+            f"shifted spin {data.shifted_spin} has no finite "
+            f"representation: {exc}") from exc
 
 
 def transmission_rtt_residual(params, data, rep, lam1_hat, lam2_hat):
     """Residual of S12(l1-l2) T1(l1) T2(l2) = T2(l2) T1(l1) S12(l1-l2)."""
-    dims = [2, 2, rep.dim]
-    t1 = two_site_operator(
-        transmission_matrix(params, data, rep, lam1_hat), dims, 0, 2)
-    t2 = two_site_operator(
-        transmission_matrix(params, data, rep, lam2_hat), dims, 1, 2)
-    s12 = two_site_operator(s_matrix(params, lam1_hat - lam2_hat), dims, 0, 1)
-    lhs = s12 @ t1 @ t2
-    rhs = t2 @ t1 @ s12
+    lhs, rhs = exchange_sides(
+        s_matrix(params, lam1_hat - lam2_hat),
+        transmission_matrix(params, data, rep, lam1_hat),
+        transmission_matrix(params, data, rep, lam2_hat))
     scale = max(np.max(np.abs(lhs)), 1e-30)
     return float(np.max(np.abs(lhs - rhs)) / scale)
 

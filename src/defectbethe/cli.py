@@ -14,7 +14,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import os
 import sys
 
@@ -25,7 +24,8 @@ from . import lax_operators as lax
 from . import physics_checks as checks
 from . import special_functions as sf
 from . import spin_chain
-from .errors import DefectBetheError, NonConvergence, RootOfUnityError
+from .errors import (DefectBetheError, NonConvergence, NotRealizable,
+                     RootOfUnityError)
 from .spin_algebra import (ATTRACTIVE, REPULSIVE, ModelParameters, build_rep)
 
 CSV_FIELDS = ["command", "params", "lambda", "re", "im", "err", "residual",
@@ -207,10 +207,13 @@ def _cmd_verify(args, cfg, emitter):
         for spin in _spin_list(args, [0.5, 1.0, 1.5]):
             data = _regime_data(params, spin)
             worst = max(scalar_fn(params, data, x) for x in grid)
-            realizable = data.regime != ATTRACTIVE \
-                and data.shifted_spin >= 0.25
+            realizable = data.shifted_spin >= 0.25
             if realizable:
-                rep = amp.shifted_spin_rep(params, data)
+                try:
+                    rep = amp.shifted_spin_rep(params, data)
+                except NotRealizable:
+                    realizable = False
+            if realizable:
                 tfn = functools.partial(amp.transmission_matrix, params,
                                         data, rep)
                 worst = max(worst, max(matrix_fn(tfn, x) for x in grid))

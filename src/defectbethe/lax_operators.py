@@ -2,16 +2,30 @@
 
 Convention used throughout: Kronecker products put the 2-dimensional
 auxiliary space FIRST, so a Lax matrix is a 2x2 array of blocks acting on
-the quantum space.  Dense multi-space embeddings go through
-two_site_operator; the chain layer applies local factors in the same leg
-order without embedding them.
+the quantum space.  apply_local is the one placement routine: it
+applies a local factor to a block of vectors in that leg order, and
+two_site_operator is apply_local acting on the identity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spin_algebra import SpinRepresentation, build_rep
+from .spin_algebra import build_rep
+
+
+def apply_local(mat, dims, slots, x):
+    """Apply mat, acting on the factors `slots` of dims, to the rows of x.
+
+    mat's Kronecker factors follow the order of slots; x has prod(dims)
+    rows and is never embedded as a full operator.
+    """
+    k = len(slots)
+    local = [dims[s] for s in slots]
+    t = x.reshape(*dims, -1)
+    out = np.tensordot(mat.reshape(local * 2), t,
+                       axes=(list(range(k, 2 * k)), list(slots)))
+    return np.moveaxis(out, list(range(k)), list(slots)).reshape(x.shape)
 
 
 def two_site_operator(mat, dims, i, j):
@@ -22,20 +36,9 @@ def two_site_operator(mat, dims, i, j):
     """
     if i == j:
         raise ValueError("two_site_operator needs distinct slots")
-    n = len(dims)
-    di, dj = dims[i], dims[j]
-    m = np.asarray(mat, dtype=complex).reshape(di, dj, di, dj)
-    other = [k for k in range(n) if k not in (i, j)]
-    other_dims = [dims[k] for k in other]
-    eye = np.eye(int(np.prod(other_dims)), dtype=complex)
-    # axes: (row i, row j, col i, col j, rows of others, cols of others)
-    full = np.multiply.outer(m, eye.reshape(other_dims * 2))
-    row_axis = {i: 0, j: 1}
-    row_axis.update({k: 4 + t for t, k in enumerate(other)})
-    rows = [row_axis[k] for k in range(n)]
-    cols = [a + 2 if a < 2 else a + len(other) for a in rows]
     total = int(np.prod(dims))
-    return full.transpose(rows + cols).reshape(total, total)
+    return apply_local(np.asarray(mat, dtype=complex), dims, (i, j),
+                       np.eye(total, dtype=complex))
 
 
 def permutation_matrix():
@@ -47,8 +50,8 @@ def permutation_matrix():
     return p
 
 
-def _lax_blocks(params, rep, lam):
-    """The four blocks [[A, B], [C, D]] of the Lax matrix on aux x rep."""
+def defect_lax(params, rep, lam):
+    """Lax matrix of a spin-S site on (aux 2) x (rep dim), aux first."""
     n = rep.dim
     eye = np.eye(n, dtype=complex)
     if params.is_rational:
@@ -64,12 +67,6 @@ def _lax_blocks(params, rep, lam):
         s = np.sinh(1j * mu)
         b = s * rep.Sm
         c = s * rep.Sp
-    return a, b, c, d
-
-
-def defect_lax(params, rep, lam):
-    """Lax matrix of a spin-S site on (aux 2) x (rep dim), aux first."""
-    a, b, c, d = _lax_blocks(params, rep, lam)
     return np.block([[a, b], [c, d]])
 
 
@@ -88,21 +85,11 @@ def d_defect_lax(params, rep, lam):
 
 def r_matrix(params, lam):
     """Bulk 4x4 R-matrix: the spin-1/2 case of the defect Lax matrix."""
-    return defect_lax(params, _spin_half(params), lam)
+    return defect_lax(params, build_rep(0.5, params), lam)
 
 
 def d_r_matrix(params, lam):
-    return d_defect_lax(params, _spin_half(params), lam)
-
-
-_half_cache = {}
-
-
-def _spin_half(params):
-    key = (params.family, params.mu)
-    if key not in _half_cache:
-        _half_cache[key] = build_rep(0.5, params)
-    return _half_cache[key]
+    return d_defect_lax(params, build_rep(0.5, params), lam)
 
 
 def regularity_scale(params):
@@ -120,18 +107,39 @@ def regularity_check(params):
     return float(np.max(np.abs(r0 - s * p)))
 
 
+def yang_baxter_residual(m12, m13, m23):
+    """max-norm of M12 M13 M23 - M23 M13 M12 on three 2-dimensional spaces.
+
+    Each argument is a 4x4 matrix on the pair of spaces its name gives.
+    """
+    dims = [2, 2, 2]
+    a = two_site_operator(m12, dims, 0, 1)
+    b = two_site_operator(m13, dims, 0, 2)
+    c = two_site_operator(m23, dims, 1, 2)
+    return float(np.max(np.abs(a @ b @ c - c @ b @ a)))
+
+
+def exchange_sides(r12, l1, l2):
+    """Both sides (R12 L1 L2, L2 L1 R12) of a quadratic exchange relation.
+
+    r12 acts on aux1 x aux2; l1 and l2 act on (aux 2) x (quantum d), aux
+    first, and are placed on (aux1, quantum) and (aux2, quantum).
+    """
+    dims = [2, 2, l1.shape[0] // 2]
+    r = two_site_operator(r12, dims, 0, 1)
+    a = two_site_operator(l1, dims, 0, 2)
+    b = two_site_operator(l2, dims, 1, 2)
+    return r @ a @ b, b @ a @ r
+
+
 def ybe_residual(params, lam1, lam2):
     """Yang-Baxter defect-free residual on three spin-1/2 spaces.
 
     max-norm of R12(l1-l2) R13(l1) R23(l2) - R23(l2) R13(l1) R12(l1-l2).
     """
-    dims = [2, 2, 2]
-    r12 = two_site_operator(r_matrix(params, lam1 - lam2), dims, 0, 1)
-    r13 = two_site_operator(r_matrix(params, lam1), dims, 0, 2)
-    r23 = two_site_operator(r_matrix(params, lam2), dims, 1, 2)
-    lhs = r12 @ r13 @ r23
-    rhs = r23 @ r13 @ r12
-    return float(np.max(np.abs(lhs - rhs)))
+    return yang_baxter_residual(r_matrix(params, lam1 - lam2),
+                                r_matrix(params, lam1),
+                                r_matrix(params, lam2))
 
 
 def rll_residual(params, rep, lam1, lam2, perturb=None):
@@ -141,14 +149,10 @@ def rll_residual(params, rep, lam1, lam2, perturb=None):
     aux1 x aux2 x rep.  perturb, if given, is (row, col, amount) added to
     the Lax matrix entry; used to confirm the residual actually reacts.
     """
-    dims = [2, 2, rep.dim]
     lmat = defect_lax(params, rep, lam1)
     if perturb is not None:
         lmat = lmat.copy()
         lmat[perturb[0], perturb[1]] += perturb[2]
-    l1 = two_site_operator(lmat, dims, 0, 2)
-    l2 = two_site_operator(defect_lax(params, rep, lam2), dims, 1, 2)
-    r12 = two_site_operator(r_matrix(params, lam1 - lam2), dims, 0, 1)
-    lhs = r12 @ l1 @ l2
-    rhs = l2 @ l1 @ r12
+    lhs, rhs = exchange_sides(r_matrix(params, lam1 - lam2), lmat,
+                              defect_lax(params, rep, lam2))
     return float(np.max(np.abs(lhs - rhs)))

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import amplitudes
-from .errors import (DegenerateSpectrum, DomainError, NotRealizable,
-                     RepMismatch)
+from .errors import DegenerateSpectrum, DomainError
 from .lax_operators import defect_lax
-from .spin_algebra import ATTRACTIVE, REPULSIVE, casimir, total_spin_operator
+from .spin_algebra import REPULSIVE, casimir, total_spin_operator
 
 
 @dataclass(frozen=True)
@@ -234,16 +233,10 @@ def rtt_residual(params, data, lam1, lam2):
     """Exchange-algebra residual S12 T1 T2 = T2 T1 S12.
 
     Only regimes with a finite shifted-spin representation can realize
-    the matrices: rational always, repulsive when the shifted spin is a
-    half-integer.  The attractive matrix would need an
-    infinite-dimensional module, so it raises NotRealizable.
+    the matrices; amplitudes.shifted_spin_rep raises NotRealizable for
+    the others, the attractive regime among them.
     """
-    try:
-        rep = amplitudes.shifted_spin_rep(params, data)
-    except ValueError as exc:
-        raise NotRealizable(
-            f"shifted spin {data.shifted_spin} has no finite "
-            f"representation: {exc}") from exc
+    rep = amplitudes.shifted_spin_rep(params, data)
     return amplitudes.transmission_rtt_residual(params, data, rep,
                                                 lam1, lam2)
 

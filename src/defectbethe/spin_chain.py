@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DimensionCapExceeded, DomainError, NonConvergence,
                      PoleError, SectorLeakage, SingularJacobian)
-from .lax_operators import (d_defect_lax, d_r_matrix, defect_lax,
-                            permutation_matrix, r_matrix, regularity_scale,
-                            two_site_operator)
+from .lax_operators import (apply_local, d_defect_lax, d_r_matrix,
+                            defect_lax, permutation_matrix, r_matrix,
+                            regularity_scale, two_site_operator)
 from .spin_algebra import build_rep
 
 _DEFAULT_MAX_DIM = 2 ** 14
@@ -85,17 +85,10 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class BetheState:
-    """Root content of one Bethe state.
-
-    roots   -- magnon rapidities
-    holes   -- real hole rapidities (thermodynamic bookkeeping)
-    strings -- (length, parity, center) templates the roots came from
-    """
+    """Root content of one Bethe state: M magnon rapidities."""
 
     M: int
     roots: tuple = ()
-    holes: tuple = ()
-    strings: tuple = ()
 
     def __post_init__(self):
         if len(self.roots) != self.M:
@@ -134,20 +127,6 @@ def string_seed(center, length, params=None, negative_parity=False):
 # ---------------------------------------------------------------------------
 
 
-def _apply_local(mat, dims, slots, x):
-    """Apply mat, acting on the factors `slots` of dims, to the rows of x.
-
-    mat's Kronecker factors follow the order of slots; x has prod(dims)
-    rows and is never embedded as a full operator.
-    """
-    k = len(slots)
-    local = [dims[s] for s in slots]
-    t = x.reshape(*dims, -1)
-    out = np.tensordot(mat.reshape(local * 2), t,
-                       axes=(list(range(k, 2 * k)), list(slots)))
-    return np.moveaxis(out, list(range(k)), list(slots)).reshape(x.shape)
-
-
 def monodromy(chain, lam):
     """Ordered product of site Lax matrices on aux x (site 1 .. site N+1).
 
@@ -165,7 +144,7 @@ def monodromy(chain, lam):
             site = defect_lax(chain.params, rep, lam - chain.theta)
         else:
             site = r_matrix(chain.params, lam)
-        out = _apply_local(site, dims, (0, k), out)
+        out = apply_local(site, dims, (0, k), out)
     return out
 
 

@@ -38,6 +38,7 @@ from defectbethe.amplitudes import (
     state_density,
     transmission_amplitude,
     transmission_amplitudes,
+    transmission_blocks,
     transmission_by_integral,
     transmission_eigenvalue_ratio,
     transmission_matrix,
@@ -338,6 +339,69 @@ def test_transmission_rtt(xxx, repulsive4):
         rep = shifted_spin_rep(params, data)
         res = transmission_rtt_residual(params, data, rep, 0.45, -0.65)
         assert res < 1e-11
+
+
+def _two_branch_blocks(rep, lam):
+    # reference copy of the explicit sin/linear block formula
+    lam = complex(lam)
+    mu = rep.deformation
+    if mu is None:
+        eye = np.eye(rep.dim)
+        return np.block([[(1j * lam + 0.5) * eye + rep.Sz, rep.Sm],
+                         [rep.Sp, (1j * lam + 0.5) * eye - rep.Sz]])
+    sz = np.diag(rep.Sz)
+    return np.block([
+        [np.diag(np.sin(mu * (1j * lam + sz + 0.5))), math.sin(mu) * rep.Sm],
+        [math.sin(mu) * rep.Sp, np.diag(np.sin(mu * (1j * lam - sz + 0.5)))]])
+
+
+def test_transmission_blocks_match_two_branch_formula(xxx):
+    # the blocks are -i times the Lax matrix at -lam; check them against
+    # the formula written out per branch
+    for params in (xxx, ModelParameters.xxz(0.3), ModelParameters.xxz(1.0)):
+        for S in (0.0, 0.5, 1.0, 1.5):
+            rep = build_rep(S, params)
+            for lam in (0.0, 0.7, -1.3 + 0.4j, 0.25 - 2.0j):
+                ref = _two_branch_blocks(rep, lam)
+                gap = np.max(np.abs(transmission_blocks(rep, lam) - ref))
+                assert gap <= 1e-15 * np.max(np.abs(ref)), (S, lam)
+
+
+def test_ladder_specs_match_explicit_factors():
+    # reference copies of the three ladders as eight explicit factors
+    F = special_functions.GammaFactor
+    for z, g, st, m in ((0.4j, 1.0 / 3.0, 0.5, 0), (-1.2 + 0.3j, 3.0, 1.0, 1),
+                        (2.5j, 5.0 / 3.0, 0.0, 0)):
+        kink = (F(+1, z, 2 * g, 2 * g), F(+1, z, 2 * g, 1.0),
+                F(+1, -z, 2 * g, g), F(+1, -z, 2 * g, g + 1.0),
+                F(-1, z, 2 * g, g), F(-1, z, 2 * g, g + 1.0),
+                F(-1, -z, 2 * g, 2 * g), F(-1, -z, 2 * g, 1.0))
+        assert kink_product_spec(z, g).factors == kink
+        u = g * st - m + g / 2.0
+        rep = (F(+1, z, 2 * g, u + g), F(+1, z, 2 * g, -u + g + 1.0),
+               F(+1, -z, 2 * g, u), F(+1, -z, 2 * g, -u + 2 * g + 1.0),
+               F(-1, z, 2 * g, u), F(-1, z, 2 * g, -u + 2 * g + 1.0),
+               F(-1, -z, 2 * g, u + g), F(-1, -z, 2 * g, -u + g + 1.0))
+        assert transmission_product_spec_repulsive(z, g, st, m).factors == rep
+        xi = st + 0.5 + g / 2.0
+        x = xi - m * (g + 1.0)
+        att = (F(+1, z, 2 * g, -x + 2 * g + 0.5), F(+1, z, 2 * g, x + 0.5),
+               F(+1, -z, 2 * g, -x + g + 0.5), F(+1, -z, 2 * g, x + g + 0.5),
+               F(-1, z, 2 * g, -x + g + 0.5), F(-1, z, 2 * g, x + g + 0.5),
+               F(-1, -z, 2 * g, -x + 2 * g + 0.5), F(-1, -z, 2 * g, x + 0.5))
+        assert transmission_product_spec_attractive(z, g, xi, m).factors \
+            == att
+
+
+def test_shifted_spin_rep_not_realizable_outside_window():
+    # nu = pi/2: pi*gamma = 1.75 pi lies outside (0, pi)
+    params = ModelParameters.xxz(2.0, REPULSIVE)
+    with pytest.raises(NotRealizable):
+        shifted_spin_rep(params, DefectRegimeData.from_params(params, 1.0))
+    # nu = pi/1.1: the shifted spin-1 rep degenerates at pi*gamma
+    params = ModelParameters.xxz(1.1, REPULSIVE)
+    with pytest.raises(NotRealizable):
+        shifted_spin_rep(params, DefectRegimeData.from_params(params, 1.5))
 
 
 def test_attractive_matrix_not_realizable(attractive4):

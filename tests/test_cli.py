@@ -72,6 +72,32 @@ def test_verify_crossing_attractive_scalar_only(capsys):
     assert rec["params"]["matrix_checked"] is False
 
 
+@pytest.mark.parametrize("mu, checked", [
+    ("1.1", [False, True, False]),   # shifted spin-1 rep degenerates
+    ("2.0", [False, False, False]),  # pi*gamma outside (0, pi)
+])
+@pytest.mark.parametrize("what", ["unitarity", "crossing"])
+def test_verify_repulsive_unrealizable_matrix_is_scalar_only(
+        capsys, what, mu, checked):
+    code, out, _ = run_cli(capsys, [
+        "verify", what, "--model", "xxz", "--mu", mu,
+        "--regime", "repulsive", "--samples", "5"])
+    assert code == 0
+    recs = json_lines(out)
+    assert [r["params"]["spin"] for r in recs] == [0.5, 1.0, 1.5]
+    assert [r["params"]["matrix_checked"] for r in recs] == checked
+    assert all(r["params"]["passed"] for r in recs)
+
+
+def test_verify_rtt_unrealizable_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, [
+        "verify", "rtt", "--model", "xxz", "--mu", "2.0",
+        "--regime", "repulsive", "--samples", "3"])
+    assert code == 2
+    assert out == ""
+    assert "no finite representation" in json.loads(err)["error"]
+
+
 def test_verify_casimir(capsys):
     code, out, _ = run_cli(capsys, [
         "verify", "casimir", "--samples", "5", "--spin", "1.0"])

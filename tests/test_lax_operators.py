@@ -32,12 +32,15 @@ spectral = st.complex_numbers(
 
 
 def test_two_site_operator_matches_einsum(rng):
-    dims = [2, 3, 2]
-    mat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    got = two_site_operator(mat, dims, 0, 1)
-    m4 = mat.reshape(2, 3, 2, 3)  # (row0, row1, col0, col1)
-    ref = np.einsum("abcd,ef->abecdf", m4, np.eye(2)).reshape(12, 12)
-    assert np.max(np.abs(got - ref)) < 1e-14
+    for dims in ([2, 3, 2], [2, 2, 5], [2, 5, 2]):
+        d0, d1, d2 = dims
+        n = d0 * d1
+        mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        got = two_site_operator(mat, dims, 0, 1)
+        m4 = mat.reshape(d0, d1, d0, d1)  # (row0, row1, col0, col1)
+        ref = np.einsum("abcd,ef->abecdf", m4, np.eye(d2)).reshape(
+            n * d2, n * d2)
+        assert np.max(np.abs(got - ref)) < 1e-14, dims
 
 
 def test_two_site_operator_kron_special_cases(rng):
