@@ -165,13 +165,12 @@ def _cmd_verify(args, cfg, emitter):
             "seed": args.seed}
     failed = False
 
-    def report(residual, tol, **extra):
+    def report(residual, tol, after=None, **extra):
+        """Emit one record: base, extra, tol and passed, then after."""
         nonlocal failed
         ok = residual <= tol
         failed = failed or not ok
-        p = dict(base)
-        p.update(extra)
-        p.update({"tol": tol, "passed": ok})
+        p = {**base, **extra, "tol": tol, "passed": ok, **(after or {})}
         emitter.emit(_record(f"verify {args.what}", p, residual=residual))
 
     if args.what == "ybe":
@@ -231,21 +230,10 @@ def _cmd_verify(args, cfg, emitter):
             rep = build_rep(spin, params)
             rpt = checks.defect_spectrum_report(params, rep, 0.73,
                                                 tol=args.tol)
-            failed = failed or not rpt.passed
-            p = dict(base)
-            p.update(rpt.details)
-            p.update({"tol": rpt.tolerance, "passed": rpt.passed})
-            emitter.emit(_record("verify defect-spectrum", p,
-                                 residual=rpt.residual))
-            res = checks.defect_spin_spectrum_residual(rep)
-            ok = res <= 1e-12
-            failed = failed or not ok
-            emitter.emit(_record(
-                "verify defect-spectrum",
-                {**base, "spin": spin, "part": "spin-multiset",
-                 "tol": 1e-12, "passed": ok,
-                 "multiset": checks.defect_spin_spectrum(rep)},
-                residual=res))
+            report(rpt.residual, rpt.tolerance, **rpt.details)
+            report(checks.defect_spin_spectrum_residual(rep), 1e-12,
+                   spin=spin, part="spin-multiset",
+                   after={"multiset": checks.defect_spin_spectrum(rep)})
     else:  # pragma: no cover - argparse restricts choices
         raise DefectBetheError(f"unknown verify target {args.what!r}")
     return 1 if failed else 0
@@ -388,7 +376,6 @@ def _cmd_chain(args, cfg, emitter):
     chain = spin_chain.ChainSpec(N=args.N, defect_spin=args.spin,
                                  params=params, theta=args.theta,
                                  defect_site=args.defect_site)
-    chain.check_cap()
     base = {"N": args.N, "defect_site": chain.defect_site,
             "spin": args.spin, "theta": args.theta, "model": args.model,
             "mu": args.mu, "regime": args.regime}
@@ -443,7 +430,7 @@ def _cmd_identity(args, cfg, emitter):
     failed = False
     if args.kind == "use1":
         tol = _tolerance(args, cfg, "use1", 1e-8)
-        n = args.samples if args.samples else 20
+        n = 20 if args.samples is None else args.samples
         for mu in rng.uniform(0.05, 9.95, n):
             res = sf.verify_gamma_integral_identity("use1", mu)
             failed = failed or res > tol
@@ -453,7 +440,7 @@ def _cmd_identity(args, cfg, emitter):
                                  residual=res))
     else:
         tol = _tolerance(args, cfg, "use2", 1e-6)
-        n = args.samples if args.samples else 10
+        n = 10 if args.samples is None else args.samples
         for _ in range(n):
             mu = float(rng.uniform(0.3, 4.5))
             beta = float(rng.uniform(0.3, 2.5))
@@ -469,6 +456,13 @@ def _cmd_identity(args, cfg, emitter):
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
 
 def _add_common(sub):
     sub.add_argument("--model", choices=["xxx", "xxz"], default="xxx")
@@ -497,7 +491,7 @@ def build_parser():
                                            "defect-spectrum"])
     p_verify.add_argument("--spin", type=float, action="append",
                           help="repeatable; defaults depend on the check")
-    p_verify.add_argument("--samples", type=int, default=20)
+    p_verify.add_argument("--samples", type=_positive_int, default=20)
     _add_common(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 
@@ -530,7 +524,7 @@ def build_parser():
 
     p_id = subs.add_parser("identity", help="gamma integral identities")
     p_id.add_argument("kind", choices=["use1", "use2"])
-    p_id.add_argument("--samples", type=int, default=None)
+    p_id.add_argument("--samples", type=_positive_int, default=None)
     _add_common(p_id)
     p_id.set_defaults(fn=_cmd_identity)
 

@@ -4,11 +4,11 @@ These three primitives carry all scalar amplitude evaluations in the package:
 
   * log_gamma        -- principal-branch log Gamma(z), rational (Lanczos-type)
                         approximation for Re z >= 1/2, reflection below.
-  * gamma_products   -- prod_{k>=0} prod_i Gamma(a_i + b_i k + c_i)^{s_i} for
-                        sign-balanced factor families, truncated with an
-                        asymptotic tail correction; a whole grid of such
-                        products shares batched log_gamma calls
-                        (gamma_product is the one-product case).
+  * gamma_products   -- prod_{k>=0} prod_i Gamma(a_i + b k + c_i)^{s_i} for
+                        sign-balanced factor families of one step b,
+                        truncated with a Stirling-series tail; a whole
+                        grid of such products shares batched log_gamma
+                        calls (gamma_product is the one-product case).
   * fourier_log_integral -- exp[-int dw/w e^{-iwL} K(w)] for even kernels K,
                         reduced to a real half-line quadrature.
 
@@ -147,6 +147,22 @@ class AmplitudeValue:
 # ---------------------------------------------------------------------------
 
 
+# The Stirling tail is summed through k^-_TAIL_ORDER; it draws on the
+# Bernoulli numbers B_0 .. B_{_TAIL_ORDER - 1} (B_1 = -1/2).
+_TAIL_ORDER = 7
+_BERNOULLI = (1.0, -1.0 / 2.0, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0)
+
+# Most arguments one log_gamma call of the product engine receives.  It
+# bounds the engine's working set (argument block, log-Gamma values and
+# log_gamma's temporaries) to a few hundred kB whatever the grid size.
+_CHUNK = 4096
+
+# The explicit block starts at _START_TERMS terms and doubles until the tail
+# is below tol; a ladder that needs more than _MAX_TERMS does not converge.
+_START_TERMS = 64
+_MAX_TERMS = 65536
+
+
 @dataclass(frozen=True)
 class GammaFactor:
     """One factor family Gamma(a + b k + c)^sign, k = 0, 1, 2, ..."""
@@ -164,16 +180,16 @@ class GammaFactor:
 class GammaProductSpec:
     """Specification of prod_{k=0}^inf of a balanced family of Gamma factors.
 
-    Balance requirements (checked at construction, per step value b):
-      sum of signs vanishes, and the first and second moments of the
-      offsets d_i = a_i + c_i vanish.  These kill the O(ln k), O(1) and
-      O(1/k) parts of the log-summand, leaving an absolutely convergent
-      O(1/k^2) tail.
+    All factors share one step b.  Balance requirements (checked at
+    construction): the sum of signs vanishes, and the first and second
+    moments of the offsets d_i = a_i + c_i vanish.  These kill the
+    O(ln k), O(1) and O(1/k) parts of the log-summand, leaving an
+    absolutely convergent O(1/k^2) tail.
 
     With renormalized=True the second-moment condition is dropped and the
     product is read in the compensated sense
 
-        lim_K  [ prod_{k<K} term(k) ] * K^{-c1},   c1 = sum_b M2_b / (2 b),
+        lim_K  [ prod_{k<K} term(k) ] * K^{-c1},   c1 = M2 / (2 b),
 
     which is the standard way such conditionally divergent Gamma products
     are meant; callers re-attach any scale factor (like b^c1) themselves.
@@ -190,83 +206,69 @@ class GammaProductSpec:
                 raise ValueError(f"sign must be +/-1, got {f.sign}")
             if not f.b > 0.0:
                 raise ValueError(f"step must be positive, got {f.b}")
-        for b, fams in self._step_groups().items():
-            m0 = sum(f.sign for f in fams)
-            m1 = sum(f.sign * (f.a + f.c) for f in fams)
-            m2 = sum(f.sign * (f.a + f.c) ** 2 for f in fams)
-            if m0 != 0:
-                raise ValueError(f"unbalanced signs in step-{b} group")
-            if abs(m1) > 1e-9:
-                raise ValueError(
-                    f"offset first moment does not cancel in step-{b} group "
-                    f"(m1={m1:.3e}); product would diverge")
-            if abs(m2) > 1e-9 and not self.renormalized:
-                raise ValueError(
-                    f"offset second moment does not cancel in step-{b} group "
-                    f"(m2={m2:.3e}); product only exists in the renormalized "
-                    f"sense (pass renormalized=True)")
+        if len({f.b for f in self.factors}) > 1:
+            raise ValueError("all factors must share one step")
+        m0 = sum(f.sign for f in self.factors)
+        m1 = sum(f.sign * (f.a + f.c) for f in self.factors)
+        m2 = sum(f.sign * (f.a + f.c) ** 2 for f in self.factors)
+        if m0 != 0:
+            raise ValueError("unbalanced signs")
+        if abs(m1) > 1e-9:
+            raise ValueError(
+                f"offset first moment does not cancel (m1={m1:.3e}); "
+                f"product would diverge")
+        if abs(m2) > 1e-9 and not self.renormalized:
+            raise ValueError(
+                f"offset second moment does not cancel (m2={m2:.3e}); "
+                f"product only exists in the renormalized sense "
+                f"(pass renormalized=True)")
 
-    def _step_groups(self):
-        """Factors grouped by step b (rounded to 12 places), in order."""
-        groups = {}
-        for f in self.factors:
-            groups.setdefault(round(f.b, 12), []).append(f)
-        return groups
+    @property
+    def step(self):
+        """The step b that all factors share."""
+        return self.factors[0].b
 
     def renorm_coefficient(self):
-        """c1 = sum over step groups of M2/(2b); 0 for a balanced product."""
-        return sum(
-            sum(f.sign * (f.a + f.c) ** 2 for f in fams) / (2.0 * b)
-            for b, fams in self._step_groups().items())
+        """c1 = M2/(2b); 0 for a balanced product."""
+        return sum(f.sign * (f.a + f.c) ** 2
+                   for f in self.factors) / (2.0 * self.step)
 
     def tail_moments(self):
-        """Per-group offset moments M2..M8 plus max |offset|, for the tail."""
-        out = []
-        for b, fams in self._step_groups().items():
-            m = [sum(f.sign * (f.a + f.c) ** j for f in fams) for j in range(2, 9)]
-            dmax = max(abs(f.a + f.c) for f in fams)
-            out.append((float(b), m, dmax))
-        return out
+        """(b, [M_0 .. M_{_TAIL_ORDER+1}], max |offset|), for the tail."""
+        m = [sum(f.sign * (f.a + f.c) ** j for f in self.factors)
+             for j in range(_TAIL_ORDER + 2)]
+        dmax = max(abs(f.a + f.c) for f in self.factors)
+        return float(self.step), m, dmax
 
 
 def _tail_correction(moments, K):
-    """Asymptotic sum_{k>=K} [t(k) - c1_b/k], with a truncation estimate.
+    """Asymptotic sum_{k>=K} [t(k) - c1/k], with a truncation estimate.
 
-    t(k) = sum_i s_i log Gamma(a_i + b_i k + c_i) is the log of the k-th
-    term of the product, and `moments` is spec.tail_moments().
-    Stirling-expanding sum_i s_i log Gamma(b k + d_i) in 1/k, the balance conditions
-    M0 = M1 = 0 kill the O(k ln k), O(ln k) and O(1) parts, and the O(1/k)
-    coefficient is c1_b = M2/(2b) (zero for a balanced product, subtracted
-    explicitly for a renormalized one).  The surviving coefficients depend
-    only on the offset moments M_j = sum_i s_i d_i^j.  Partial zeta sums
-    close the tail exactly to the retained order (k^-7, residual O(k^-8)).
+    t(k) = sum_i s_i log Gamma(b k + d_i) is the log of the k-th term of
+    the product, and `moments` is spec.tail_moments().  Summed over the
+    factors, the Stirling series log Gamma(z + d) ~ (z + d - 1/2) ln z - z
+    + ln sqrt(2 pi) + sum_{n>=1} (-1)^{n+1} B_{n+1}(d) / (n (n+1) z^n)
+    loses its O(k ln k), O(ln k) and O(1) parts to M0 = M1 = 0, where
+    M_j = sum_i s_i d_i^j, and its n = 1 term is c1/k (zero for a balanced
+    product, subtracted explicitly for a renormalized one).  For n >= 2 the
+    Bernoulli polynomials sum to P_{n+1} = sum_{j<n} C(n+1, j) B_j M_{n+1-j},
+    and partial zeta sums close the tail exactly through k^-_TAIL_ORDER.
 
-    Returns (tail, trunc, q): trunc bounds the dropped orders, and q is
-    the expansion parameter max|d|/(bK); the bound is only trustworthy
-    once q is well below 1.
+    Returns (tail, trunc, q): trunc bounds the dropped orders by the last
+    two retained ones, and q is the expansion parameter max|d|/(bK); the
+    bound is only trustworthy once q is well below 1.
     """
-    s = {j: float(sp_zeta(j, K)) for j in range(2, 8)}  # sum_{k>=K} k^-j
-    tail = 0.0 + 0.0j
-    trunc = 0.0
-    q = 0.0
-    for b, (m2, m3, m4, m5, m6, m7, m8), dmax in moments:
-        tail += (m2 / 4.0 - m3 / 6.0) / b**2 * s[2]
-        tail += (m2 / 12.0 + m4 / 12.0 - m3 / 6.0) / b**3 * s[3]
-        tail += (-m5 / 20.0 + m4 / 8.0 - m3 / 12.0) / b**4 * s[4]
-        tail += (m6 / 30.0 - m5 / 10.0 + m4 / 12.0 - m2 / 60.0) / b**5 * s[5]
-        t6 = (-6 * m7 + 21 * m6 - 21 * m5 + 7 * m3) / 252.0 / b**6 * s[6]
-        t7 = (3 * m8 - 12 * m7 + 14 * m6 - 7 * m4 + 2 * m2) / 168.0 / b**7 * s[7]
-        tail += t6 + t7
-        qg = dmax / (b * K)
-        trunc += (abs(t6) + abs(t7)) * max(qg, 0.05) / max(1.0 - qg, 0.5)
-        q = max(q, qg)
-    return tail, trunc, q
-
-
-# Most arguments one log_gamma call of the product engine receives.  It
-# bounds the engine's working set (argument block, log-Gamma values and
-# log_gamma's temporaries) to a few hundred kB whatever the grid size.
-_CHUNK = 4096
+    b, m, dmax = moments
+    orders = range(2, _TAIL_ORDER + 1)
+    zetas = sp_zeta(np.array(orders, dtype=float), K)  # sum_{k>=K} k^-n
+    terms = [
+        (-1) ** (n + 1) * zeta / (n * (n + 1) * b**n)
+        * sum(math.comb(n + 1, j) * _BERNOULLI[j] * m[n + 1 - j]
+              for j in range(n))
+        for n, zeta in zip(orders, zetas.tolist())]
+    q = dmax / (b * K)
+    trunc = (abs(terms[-2]) + abs(terms[-1])) * max(q, 0.05) / max(1.0 - q, 0.5)
+    return sum(terms), trunc, q
 
 
 def _check_poles(spec):
@@ -279,16 +281,16 @@ def _check_poles(spec):
             raise PoleError("Gamma factor argument hits a pole of Gamma")
 
 
-def _choose_terms(spec, tol, start_terms, max_terms):
-    """(K, tail, trunc): the first doubling of start_terms whose tail is
+def _choose_terms(spec, tol):
+    """(K, tail, trunc): the first doubling of _START_TERMS whose tail is
     below tol."""
     moments = spec.tail_moments()
-    K = int(start_terms)
+    K = _START_TERMS
     while True:
         tail, trunc, q = _tail_correction(moments, K)
         if q <= 0.25 and trunc <= 0.5 * tol:
             return K, tail, trunc
-        if 2 * K > max_terms:
+        if 2 * K > _MAX_TERMS:
             raise NonConvergence(
                 f"gamma_product tail not below tol={tol} at K={K} "
                 f"(estimate {trunc:.3e}, expansion parameter {q:.3f})")
@@ -327,7 +329,7 @@ def _log_term_sums(specs, K):
     return sums
 
 
-def gamma_products(specs, tol=1e-12, start_terms=64, max_terms=65536):
+def gamma_products(specs, tol=1e-12):
     """Evaluate balanced GammaProductSpecs; returns a list of AmplitudeValue.
 
     Per spec, sums K explicit log-terms plus the analytic high-order tail.
@@ -336,14 +338,14 @@ def gamma_products(specs, tol=1e-12, start_terms=64, max_terms=65536):
     log-Gamma values of size ~ b K log(b K)) without gaining accuracy.
     Specs that settle on the same K share log_gamma calls of at most
     _CHUNK arguments.  Raises PoleError if some factor argument hits a
-    Gamma pole, and NonConvergence if no admissible K exists below the
-    ceiling, for the first spec where either happens.
+    Gamma pole, and NonConvergence if no admissible K exists up to
+    _MAX_TERMS, for the first spec where either happens.
     """
     specs = list(specs)
     chosen = []
     for spec in specs:
         _check_poles(spec)
-        chosen.append(_choose_terms(spec, tol, start_terms, max_terms))
+        chosen.append(_choose_terms(spec, tol))
 
     groups = {}
     for i, (spec, (K, _, _)) in enumerate(zip(specs, chosen)):
@@ -361,8 +363,8 @@ def gamma_products(specs, tol=1e-12, start_terms=64, max_terms=65536):
             # drift
             log_sum -= spec.renorm_coefficient() * float(sp_digamma(K))
         # roundoff in the explicit block: cancelling log-Gammas of size L
-        b_max = max(f.b for f in spec.factors)
-        L = b_max * K * max(1.0, math.log(b_max * K))
+        bK = spec.step * K
+        L = bK * max(1.0, math.log(bK))
         noise = 1e-16 * L * math.sqrt(K)
         value = complex(np.exp(log_sum + tail))
         err = abs(value) * (trunc + noise)
@@ -370,13 +372,12 @@ def gamma_products(specs, tol=1e-12, start_terms=64, max_terms=65536):
     return out
 
 
-def gamma_product(spec, tol=1e-12, start_terms=64, max_terms=65536):
+def gamma_product(spec, tol=1e-12):
     """Evaluate one balanced GammaProductSpec as an AmplitudeValue.
 
     The one-spec case of gamma_products.
     """
-    return gamma_products([spec], tol=tol, start_terms=start_terms,
-                          max_terms=max_terms)[0]
+    return gamma_products([spec], tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ class ChainSpec:
 
     @property
     def hilbert_dim(self):
-        return int(np.prod(self.site_dims))
+        return math.prod(self.site_dims)
 
     def check_cap(self, dim=None):
         """Raise unless dim (default: the Hilbert dimension) fits the cap."""

@@ -423,10 +423,10 @@ def test_attractive_matrix_not_realizable(attractive4):
 # ---------------------------------------------------------------------------
 
 
-def _reference_product(spec, tol=1e-12, start_terms=64):
+def _reference_product(spec, tol=1e-12):
     """Unbatched evaluation: per-factor log_gamma over np.arange(K)."""
-    moments = spec.tail_moments()
-    K = start_terms
+    b, moments = spec.step, spec.tail_moments()
+    K = 64
     while True:
         tail, trunc, q = _tail_correction(moments, K)
         if q <= 0.25 and trunc <= 0.5 * tol:
@@ -439,8 +439,7 @@ def _reference_product(spec, tol=1e-12, start_terms=64):
     log_sum = complex(np.sum(total))
     if spec.renormalized:
         log_sum -= spec.renorm_coefficient() * float(sp.digamma(K))
-    b_max = max(f.b for f in spec.factors)
-    L = b_max * K * max(1.0, math.log(b_max * K))
+    L = b * K * max(1.0, math.log(b * K))
     value = complex(np.exp(log_sum + tail))
     err = abs(value) * (trunc + 1e-16 * L * math.sqrt(K))
     return value, float(err), K

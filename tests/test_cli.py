@@ -338,6 +338,16 @@ def test_chain_respects_dimension_cap(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_chain_bae_ignores_dimension_cap(capsys):
+    # D = 2^21 is far above the default cap, but the Bethe equations
+    # allocate nothing of size D
+    code, out, err = run_cli(capsys, [
+        "chain", "bae", "--N", "20", "--spin", "0.5", "--magnons", "1"])
+    assert code == 0
+    assert err == ""
+    assert all(r["params"]["passed"] for r in json_lines(out))
+
+
 # ---------------------------------------------------------------------------
 # identity
 # ---------------------------------------------------------------------------
@@ -351,12 +361,29 @@ def test_identity_use1(capsys):
     assert all(r["residual"] <= 1e-8 for r in recs)
 
 
+def test_identity_use1_default_samples(capsys):
+    code, out, _ = run_cli(capsys, ["identity", "use1"])
+    assert code == 0
+    assert len(json_lines(out)) == 20
+
+
 def test_identity_use2(capsys):
     code, out, _ = run_cli(capsys, ["identity", "use2", "--samples", "3"])
     assert code == 0
     recs = json_lines(out)
     assert len(recs) == 3
     assert all(r["residual"] <= 1e-6 for r in recs)
+
+
+@pytest.mark.parametrize("argv", [["verify", "ybe"], ["identity", "use1"],
+                                  ["identity", "use2"]])
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_samples_below_one_rejected(capsys, argv, samples):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--samples", samples])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "--samples" in err
 
 
 # ---------------------------------------------------------------------------

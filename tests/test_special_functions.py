@@ -14,6 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectbethe import special_functions
+from defectbethe.amplitudes import (
+    corrigan_product_spec,
+    kink_product_spec,
+    transmission_product_spec_attractive,
+    transmission_product_spec_repulsive,
+)
 from defectbethe.errors import NonConvergence, PoleError
 from defectbethe.special_functions import (
     AmplitudeValue,
@@ -127,6 +133,14 @@ def test_spec_rejects_bad_sign_and_step():
         GammaProductSpec(factors=())
 
 
+def test_spec_rejects_mixed_steps():
+    with pytest.raises(ValueError, match="one step"):
+        GammaProductSpec(factors=(
+            GammaFactor(sign=+1, a=0.5, b=1.0),
+            GammaFactor(sign=-1, a=0.5, b=2.0),
+        ))
+
+
 def test_gamma_product_pole_detection():
     # argument of the first factor hits -1 at k = 0 and 0 at k = 1
     factors = (
@@ -150,6 +164,49 @@ def test_gamma_products_pole_in_grid():
     ), renormalized=True)
     with pytest.raises(PoleError):
         gamma_products([good, good, pole, good])
+
+
+# ---------------------------------------------------------------------------
+# Stirling tail vs the hand-expanded table it replaced
+# ---------------------------------------------------------------------------
+
+
+def _tail_table(spec, K):
+    """The tail through k^-7 as six hand-expanded rows, and its trunc."""
+    b = spec.step
+    d = [f.a + f.c for f in spec.factors]
+    m2, m3, m4, m5, m6, m7, m8 = (
+        sum(f.sign * x ** j for f, x in zip(spec.factors, d))
+        for j in range(2, 9))
+    s = {j: float(sp.zeta(j, K)) for j in range(2, 8)}
+    tail = (m2 / 4.0 - m3 / 6.0) / b**2 * s[2]
+    tail += (m2 / 12.0 + m4 / 12.0 - m3 / 6.0) / b**3 * s[3]
+    tail += (-m5 / 20.0 + m4 / 8.0 - m3 / 12.0) / b**4 * s[4]
+    tail += (m6 / 30.0 - m5 / 10.0 + m4 / 12.0 - m2 / 60.0) / b**5 * s[5]
+    t6 = (-6 * m7 + 21 * m6 - 21 * m5 + 7 * m3) / 252.0 / b**6 * s[6]
+    t7 = (3 * m8 - 12 * m7 + 14 * m6 - 7 * m4 + 2 * m2) / 168.0 / b**7 * s[7]
+    q = max(abs(x) for x in d) / (b * K)
+    return tail + t6 + t7, (abs(t6) + abs(t7)) * max(q, 0.05) / max(1.0 - q, 0.5)
+
+
+@pytest.mark.parametrize("K", [64, 512, 4096])
+def test_stirling_tail_matches_hand_expanded_table(K):
+    g = 0.6
+    specs = []
+    for lam in (-2.3, -0.4, 0.7, 1.9):
+        specs += [
+            kink_product_spec(1j * lam, g),
+            transmission_product_spec_repulsive(1j * 5.0 / 3.0 * lam,
+                                                5.0 / 3.0, 1.25, 0),
+            transmission_product_spec_attractive(1j * lam, g, 0.8, 0),
+            corrigan_product_spec(1j * lam - 0.3, 1j * lam + 0.5, g),
+        ]
+    for spec in specs:
+        tail, trunc, _ = special_functions._tail_correction(
+            spec.tail_moments(), K)
+        ref_tail, ref_trunc = _tail_table(spec, K)
+        assert abs(tail - ref_tail) <= 1e-14 * abs(ref_tail)
+        assert abs(trunc - ref_trunc) <= 1e-12 * ref_trunc
 
 
 # ---------------------------------------------------------------------------

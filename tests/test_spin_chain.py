@@ -86,6 +86,14 @@ def test_dimension_cap(monkeypatch, xxx):
         chain.check_cap()
 
 
+def test_dimension_cap_holds_beyond_int64(xxx):
+    # 2^64 wraps to 0 in int64; the cap must still see the true dimension
+    chain = ChainSpec(N=63, defect_spin=0.5, params=xxx)
+    assert chain.hilbert_dim == 2 ** 64
+    with pytest.raises(DimensionCapExceeded):
+        chain.check_cap()
+
+
 def test_dimension_cap_counts_monodromy_accumulator(monkeypatch, xxx):
     # H is D x D; the monodromy carries the auxiliary space, so 2D x 2D
     chain = ChainSpec(N=2, defect_spin=1.0, params=xxx, theta=0.3)
