@@ -357,12 +357,12 @@ def corrigan_product_spec(z1, z2, gamma):
 # ---------------------------------------------------------------------------
 
 
-def kink_S_amplitude(params, lam, tol=1e-12):
+def kink_S_amplitude(params, lam):
     """First eigenvalue of the two-kink scattering matrix."""
-    return kink_S_amplitudes(params, [lam], tol=tol)[0]
+    return kink_S_amplitudes(params, [lam])[0]
 
 
-def kink_S_amplitudes(params, lams, tol=1e-12):
+def kink_S_amplitudes(params, lams):
     """kink_S_amplitude over a rapidity grid, in one engine pass."""
     lams = np.asarray(lams, dtype=complex).ravel()
     if params.is_rational:
@@ -371,7 +371,7 @@ def kink_S_amplitudes(params, lams, tol=1e-12):
     g = params.gamma
     scale = 1j * g if params.regime_name == REPULSIVE else 1j
     return gamma_products([kink_product_spec(scale * complex(lam), g)
-                           for lam in lams], tol=tol)
+                           for lam in lams])
 
 
 def _gamma_ratios(num1, num2, den1, den2):
@@ -383,10 +383,10 @@ def _gamma_ratios(num1, num2, den1, den2):
             for v in vals]
 
 
-def kink_S_by_integral(params, lam, tol=1e-11):
+def kink_S_by_integral(params, lam):
     """Same amplitude through the log-integral over r_s."""
     return fourier_log_integral(
-        lambda w: kernel_hat("r_s", w, params), lam, tol=tol)
+        lambda w: kernel_hat("r_s", w, params), lam)
 
 
 def s_matrix(params, lam):
@@ -425,12 +425,12 @@ def s_matrix_ybe_residual(params, lam1, lam2, lam3=0.0):
 # ---------------------------------------------------------------------------
 
 
-def transmission_amplitude(params, data, lam_hat, tol=1e-12):
+def transmission_amplitude(params, data, lam_hat):
     """First transmission eigenvalue for a kink passing the defect."""
-    return transmission_amplitudes(params, data, [lam_hat], tol=tol)[0]
+    return transmission_amplitudes(params, data, [lam_hat])[0]
 
 
-def transmission_amplitudes(params, data, lam_hats, tol=1e-12):
+def transmission_amplitudes(params, data, lam_hats):
     """transmission_amplitude over a rapidity grid, in one engine pass."""
     _check_regime(params, data)
     lam_hats = np.asarray(lam_hats, dtype=complex).ravel()
@@ -449,16 +449,16 @@ def transmission_amplitudes(params, data, lam_hats, tol=1e-12):
         specs = [transmission_product_spec_attractive(
             1j * complex(lam_hat) + data.rapidity_offset, g, data.coupling,
             data.branch_index) for lam_hat in lam_hats]
-    return gamma_products(specs, tol=tol)
+    return gamma_products(specs)
 
 
-def transmission_by_integral(params, data, lam_hat, tol=1e-11):
+def transmission_by_integral(params, data, lam_hat):
     """Transmission eigenvalue through the log-integral over r_t."""
     _check_regime(params, data)
     y = 2.0 * data.spin
     return fourier_log_integral(
         lambda w: kernel_hat("r_t", w, params, order=y),
-        lam_hat, tol=tol)
+        lam_hat)
 
 
 def transmission_eigenvalue_ratio(data, lam_hat):
@@ -470,23 +470,22 @@ def transmission_eigenvalue_ratio(data, lam_hat):
     return (1j * lam_hat - st - 0.5) / den
 
 
-def transmission_matrix(params, data, rep, lam_hat, symbolic=False):
+def transmission_matrix(params, data, rep, lam_hat):
     """2(2S~+1)-dimensional transmission matrix over the shifted-spin rep.
 
     Rational and repulsive regimes produce a concrete matrix; the rep
     must carry spin S~ and, in the repulsive case, the renormalized
     deformation pi*gamma.  The attractive matrix lives on an
-    infinite-dimensional representation, so only a symbolic 2x2 template
-    is available behind the `symbolic` opt-in.
+    infinite-dimensional representation and raises NotRealizable; its
+    symbolic 2x2 template is attractive_transmission_template.
     """
     _check_regime(params, data)
     if data.regime == ATTRACTIVE:
-        if not symbolic:
-            raise NotRealizable(
-                "attractive transmission matrix needs the infinite-"
-                "dimensional shifted-spin-0 representation; pass "
-                "symbolic=True for the structural template")
-        return _attractive_template(data)
+        raise NotRealizable(
+            "attractive transmission matrix needs the infinite-"
+            "dimensional shifted-spin-0 representation; "
+            "attractive_transmission_template(data) gives its "
+            "structural template")
     if rep is None or not isinstance(rep, SpinRepresentation):
         raise RepMismatch("a shifted-spin representation is required")
     if abs(rep.spin - data.shifted_spin) > 1e-12:
@@ -523,7 +522,7 @@ def transmission_blocks(rep, lam):
     return -1j * defect_lax(family, rep, -complex(lam))
 
 
-def _attractive_template(data):
+def attractive_transmission_template(data):
     """Structural 2x2 template of the attractive transmission matrix.
 
     The diagonal entries involve sin(pi*gamma*(iu + 1/2 - (S+1/2)/gamma)),
@@ -603,7 +602,7 @@ def corrigan_variables(data, lam_hat):
     return -z - data.coupling, -z + data.coupling
 
 
-def corrigan_form(z1, z2, gamma, tol=1e-12):
+def corrigan_form(z1, z2, gamma):
     """Transmission amplitude in defect-field variables.
 
     Returns (T, rho_d) with T = sin(pi(z2 + 1/2))/pi * rho_d.  The
@@ -613,7 +612,7 @@ def corrigan_form(z1, z2, gamma, tol=1e-12):
     """
     z1, z2 = complex(z1), complex(z2)
     spec = corrigan_product_spec(z1, z2, gamma)
-    ladder = gamma_product(spec, tol=tol)
+    ladder = gamma_product(spec)
     scale = (2.0 * gamma) ** (-spec.renorm_coefficient())
     rho_val = ladder.value * scale \
         * np.exp(log_gamma(0.5 - z1) + log_gamma(0.5 - z2))
@@ -679,7 +678,7 @@ def breather_T(n, lam_hat, gamma, eta1, eta2):
     return complex(out)
 
 
-def breather_S_by_integral(params, lam, tol=1e-11):
+def breather_S_by_integral(params, lam):
     """Lightest-breather scattering via the log-integral over r_b.
 
     The kernel has a nonzero omega -> 0 limit, so the principal-value
@@ -688,16 +687,16 @@ def breather_S_by_integral(params, lam, tol=1e-11):
     used here.
     """
     val = fourier_log_integral(
-        lambda w: kernel_hat("r_b", w, params), -_real_arg(lam), tol=tol)
+        lambda w: kernel_hat("r_b", w, params), -_real_arg(lam))
     return AmplitudeValue(-val.value, err=val.err, terms_used=val.terms_used)
 
 
-def breather_T_by_integral(params, data, lam_hat, tol=1e-11):
+def breather_T_by_integral(params, data, lam_hat):
     """Lightest-breather transmission via the log-integral over t_b."""
     y = 2.0 * data.spin
     val = fourier_log_integral(
         lambda w: kernel_hat("t_b", w, params, order=y),
-        -_real_arg(lam_hat), tol=tol)
+        -_real_arg(lam_hat))
     return AmplitudeValue(-val.value, err=val.err, terms_used=val.terms_used)
 
 

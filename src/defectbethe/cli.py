@@ -81,27 +81,9 @@ class Emitter:
         self.stream.flush()
 
 
-def _read_config(path):
-    """key=value lines; '#' starts a comment; values parsed as floats."""
-    cfg = {}
-    if path is None:
-        return cfg
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line (need key=value): {raw!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            cfg[key] = float(val)
-    return cfg
-
-
-def _tolerance(args, cfg, key, default):
-    if args.tol is not None:
-        return args.tol
-    return cfg.get(f"tol_{key}", default)
+def _tolerance(args, default):
+    """--tol if given, else the record's own default."""
+    return default if args.tol is None else args.tol
 
 
 def _model(args):
@@ -157,7 +139,7 @@ def _regime_data(params, spin, theta=0.0):
     return amp.DefectRegimeData.from_params(params, spin, rapidity=theta)
 
 
-def _cmd_verify(args, cfg, emitter):
+def _cmd_verify(args, emitter):
     params = _model(args)
     rng = np.random.default_rng(args.seed)
     base = {"check": args.what, "model": args.model, "mu": args.mu,
@@ -174,12 +156,12 @@ def _cmd_verify(args, cfg, emitter):
         emitter.emit(_record(f"verify {args.what}", p, residual=residual))
 
     if args.what == "ybe":
-        tol = _tolerance(args, cfg, "ybe", 1e-12)
+        tol = _tolerance(args, 1e-12)
         pairs = rng.uniform(-2.0, 2.0, size=(args.samples, 2))
         worst = max(lax.ybe_residual(params, l1, l2) for l1, l2 in pairs)
         report(worst, tol)
     elif args.what == "rll":
-        tol = _tolerance(args, cfg, "rll", 1e-12)
+        tol = _tolerance(args, 1e-12)
         for spin in _rep_spin_list(args, params, base):
             rep = build_rep(spin, params)
             pairs = rng.uniform(-2.0, 2.0, size=(args.samples, 2))
@@ -187,7 +169,7 @@ def _cmd_verify(args, cfg, emitter):
                         for l1, l2 in pairs)
             report(worst, tol, spin=spin)
     elif args.what == "rtt":
-        tol = _tolerance(args, cfg, "rtt", 1e-10)
+        tol = _tolerance(args, 1e-10)
         default = [1.0, 1.5] if params.is_rational else [1.0]
         for spin in _spin_list(args, default):
             data = _regime_data(params, spin)
@@ -197,7 +179,7 @@ def _cmd_verify(args, cfg, emitter):
             report(worst, tol, spin=spin,
                    shifted_spin=data.shifted_spin)
     elif args.what in ("unitarity", "crossing"):
-        tol = _tolerance(args, cfg, args.what, 1e-9)
+        tol = _tolerance(args, 1e-9)
         grid = np.linspace(0.15, 2.0, args.samples)
         matrix_fn = checks.matrix_unitarity_residual \
             if args.what == "unitarity" else checks.matrix_crossing_residual
@@ -218,7 +200,7 @@ def _cmd_verify(args, cfg, emitter):
                 worst = max(worst, max(matrix_fn(tfn, x) for x in grid))
             report(worst, tol, spin=spin, matrix_checked=realizable)
     elif args.what == "casimir":
-        tol = _tolerance(args, cfg, "casimir", 1e-12)
+        tol = _tolerance(args, 1e-12)
         grid = np.linspace(0.0, 1.8, args.samples)
         for spin in _rep_spin_list(args, params, base):
             rep = build_rep(spin, params)
@@ -228,10 +210,11 @@ def _cmd_verify(args, cfg, emitter):
     elif args.what == "defect-spectrum":
         for spin in _rep_spin_list(args, params, base):
             rep = build_rep(spin, params)
-            rpt = checks.defect_spectrum_report(params, rep, 0.73,
-                                                tol=args.tol)
-            report(rpt.residual, rpt.tolerance, **rpt.details)
-            report(checks.defect_spin_spectrum_residual(rep), 1e-12,
+            rpt = checks.defect_spectrum_report(params, rep, 0.73)
+            report(rpt.residual, _tolerance(args, rpt.tolerance),
+                   **rpt.details)
+            report(checks.defect_spin_spectrum_residual(rep),
+                   _tolerance(args, 1e-12),
                    spin=spin, part="spin-multiset",
                    after={"multiset": checks.defect_spin_spectrum(rep)})
     else:  # pragma: no cover - argparse restricts choices
@@ -281,9 +264,9 @@ def _integral_point(args, params, data, lam):
     return amp.breather_T_by_integral(params, data, lam - args.theta)
 
 
-def _cmd_amp(args, cfg, emitter):
+def _cmd_amp(args, emitter):
     params = _model(args)
-    tol = _tolerance(args, cfg, "amp", 1e-8)
+    tol = _tolerance(args, 1e-8)
     data = None
     if args.kind in ("transmission", "breather-t", "breather-s"):
         if args.kind.startswith("breather") and (
@@ -300,10 +283,8 @@ def _cmd_amp(args, cfg, emitter):
 
     if args.sweep is not None:
         grid = _parse_sweep(args.sweep)
-    elif args.lam is not None:
-        grid = np.array([args.lam])
     else:
-        raise DefectBetheError("need --lambda or --sweep")
+        grid = np.array([args.lam])
 
     prods = integs = [None] * len(grid)
     if args.method in ("product", "both"):
@@ -336,7 +317,11 @@ def _cmd_amp(args, cfg, emitter):
 # chain
 # ---------------------------------------------------------------------------
 
-def _bae_solutions(chain, M, rng, n_scatter=6):
+# random complex starting points _bae_solutions adds to its fixed grid
+_SCATTER_SEEDS = 6
+
+
+def _bae_solutions(chain, M, rng):
     """Scan deterministic and seeded starting points, dedupe solutions.
 
     Also returns what the solver reported on the seeds that failed: the
@@ -348,7 +333,7 @@ def _bae_solutions(chain, M, rng, n_scatter=6):
         if M > 1:
             seeds.append(list(spin_chain.string_seed(center, M,
                                                      chain.params)))
-    for _ in range(n_scatter):
+    for _ in range(_SCATTER_SEEDS):
         seeds.append((rng.uniform(-1.5, 1.5, M)
                       + 1j * rng.uniform(-0.6, 0.6, M)).tolist())
     found, failures, residuals = {}, {}, []
@@ -371,7 +356,7 @@ def _bae_solutions(chain, M, rng, n_scatter=6):
     return [found[k] for k in sorted(found)], diagnostics
 
 
-def _cmd_chain(args, cfg, emitter):
+def _cmd_chain(args, emitter):
     params = _model(args)
     chain = spin_chain.ChainSpec(N=args.N, defect_spin=args.spin,
                                  params=params, theta=args.theta,
@@ -403,7 +388,7 @@ def _cmd_chain(args, cfg, emitter):
         return 0
 
     # bae
-    tol = _tolerance(args, cfg, "bae", 1e-10)
+    tol = _tolerance(args, 1e-10)
     rng = np.random.default_rng(args.seed)
     states, diagnostics = _bae_solutions(chain, args.magnons, rng)
     failed = not states
@@ -425,11 +410,11 @@ def _cmd_chain(args, cfg, emitter):
 # identity
 # ---------------------------------------------------------------------------
 
-def _cmd_identity(args, cfg, emitter):
+def _cmd_identity(args, emitter):
     rng = np.random.default_rng(args.seed)
     failed = False
     if args.kind == "use1":
-        tol = _tolerance(args, cfg, "use1", 1e-8)
+        tol = _tolerance(args, 1e-8)
         n = 20 if args.samples is None else args.samples
         for mu in rng.uniform(0.05, 9.95, n):
             res = sf.verify_gamma_integral_identity("use1", mu)
@@ -439,7 +424,7 @@ def _cmd_identity(args, cfg, emitter):
                                   "passed": res <= tol},
                                  residual=res))
     else:
-        tol = _tolerance(args, cfg, "use2", 1e-6)
+        tol = _tolerance(args, 1e-6)
         n = 10 if args.samples is None else args.samples
         for _ in range(n):
             mu = float(rng.uniform(0.3, 4.5))
@@ -471,11 +456,9 @@ def _add_common(sub):
     sub.add_argument("--regime", choices=[REPULSIVE, ATTRACTIVE],
                      default=None)
     sub.add_argument("--tol", type=float, default=None,
-                     help="override the default tolerance")
+                     help="override the default tolerance of every record")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--config", default=None,
-                     help="key=value file with tol_<name> defaults")
 
 
 def build_parser():
@@ -498,8 +481,9 @@ def build_parser():
     p_amp = subs.add_parser("amp", help="evaluate an amplitude")
     p_amp.add_argument("kind", choices=["kink", "transmission",
                                         "breather-s", "breather-t"])
-    p_amp.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_amp.add_argument("--sweep", default=None, metavar="MIN:MAX:STEPS")
+    points = p_amp.add_mutually_exclusive_group(required=True)
+    points.add_argument("--lambda", dest="lam", type=float, default=None)
+    points.add_argument("--sweep", default=None, metavar="MIN:MAX:STEPS")
     p_amp.add_argument("--spin", type=float, default=0.5)
     p_amp.add_argument("--theta", type=float, default=0.0)
     p_amp.add_argument("--branch-m", type=int, default=None,
@@ -544,9 +528,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _read_config(args.config)
         emitter = Emitter(args.format)
-        return args.fn(args, cfg, emitter)
+        return args.fn(args, emitter)
     except BrokenPipeError:
         # downstream consumer closed the pipe (e.g. piping into head);
         # point stdout at devnull so interpreter shutdown stays quiet

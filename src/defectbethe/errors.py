@@ -16,7 +16,7 @@ class PoleError(DefectBetheError):
 
 class NonConvergence(DefectBetheError):
     """A truncated product, quadrature or Newton root search failed to reach
-    the requested tolerance at its configured ceiling.  The root search
+    its module's tolerance within its term or step limit.  The root search
     attaches the best residual seen and the iterate it was reached at."""
 
     def __init__(self, message, best_residual=None, last_iterate=None):

@@ -142,17 +142,13 @@ def ybe_residual(params, lam1, lam2):
                                 r_matrix(params, lam2))
 
 
-def rll_residual(params, rep, lam1, lam2, perturb=None):
+def rll_residual(params, rep, lam1, lam2):
     """Quadratic-algebra residual of the defect Lax matrix.
 
     max-norm of R12(l1-l2) L1(l1) L2(l2) - L2(l2) L1(l1) R12(l1-l2) on
-    aux1 x aux2 x rep.  perturb, if given, is (row, col, amount) added to
-    the Lax matrix entry; used to confirm the residual actually reacts.
+    aux1 x aux2 x rep.
     """
-    lmat = defect_lax(params, rep, lam1)
-    if perturb is not None:
-        lmat = lmat.copy()
-        lmat[perturb[0], perturb[1]] += perturb[2]
-    lhs, rhs = exchange_sides(r_matrix(params, lam1 - lam2), lmat,
+    lhs, rhs = exchange_sides(r_matrix(params, lam1 - lam2),
+                              defect_lax(params, rep, lam1),
                               defect_lax(params, rep, lam2))
     return float(np.max(np.abs(lhs - rhs)))

@@ -111,7 +111,7 @@ def _spectra(params, rep, lam):
     return closed, np.linalg.eigvals(defect_lax(params, rep, complex(lam)))
 
 
-def defect_spectrum_report(params, rep, lam, tol=None):
+def defect_spectrum_report(params, rep, lam):
     """CheckReport for the closed-form-vs-diagonalization spectrum test.
 
     Diagonalization is authoritative.  The isotropic closed form is exact
@@ -119,8 +119,7 @@ def defect_spectrum_report(params, rep, lam, tol=None):
     held to 1e-8 and a failure beyond that is documented with both
     multisets rather than hidden.
     """
-    if tol is None:
-        tol = 1e-12 if params.is_rational else 1e-8
+    tol = 1e-12 if params.is_rational else 1e-8
     closed, diag = _spectra(params, rep, lam)
     residual = _multiset_match_residual(closed, diag)
     diag = sorted(diag, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
@@ -162,13 +161,17 @@ def defect_spin_spectrum_residual(rep):
     return float(np.max(np.abs(closed - diag)))
 
 
+def _product_residual(left, right, scalar=1.0):
+    """max|left @ right - scalar * I|: how far a product of two square
+    matrices is from a multiple of the identity."""
+    eye = np.eye(left.shape[0])
+    return float(np.max(np.abs(left @ right - scalar * eye)))
+
+
 def matrix_unitarity_residual(T_fn, lam):
     """Max-norm deviation of T(lam) T(-lam) from the identity."""
     lam = complex(lam)
-    left = np.asarray(T_fn(lam))
-    right = np.asarray(T_fn(-lam))
-    eye = np.eye(left.shape[0])
-    return float(np.max(np.abs(left @ right - eye)))
+    return _product_residual(np.asarray(T_fn(lam)), np.asarray(T_fn(-lam)))
 
 
 def _aux_partial_transpose(mat):
@@ -187,10 +190,9 @@ def matrix_crossing_residual(T_fn, lam):
     the matrix is parametrized by.
     """
     lam = complex(lam)
-    left = _aux_partial_transpose(np.asarray(T_fn(-lam + 1j)))
-    right = _aux_partial_transpose(np.asarray(T_fn(lam + 1j)))
-    eye = np.eye(left.shape[0])
-    return float(np.max(np.abs(left @ right - eye)))
+    return _product_residual(
+        _aux_partial_transpose(np.asarray(T_fn(-lam + 1j))),
+        _aux_partial_transpose(np.asarray(T_fn(lam + 1j))))
 
 
 def scalar_unitarity_residual(params, data, lam):
@@ -265,13 +267,11 @@ def m_matrix_casimir_identity(params, rep, lam):
         scalar = (cmath.sin(mu * (1j * lam + s + 0.5))
                   * cmath.sin(mu * (-1j * lam + s + 0.5)))
         via_casimir = 0.5 * cmath.cos(2j * mu * lam) - 0.25 * cas
-    eye = np.eye(2 * rep.dim, dtype=complex)
     blocks = amplitudes.transmission_blocks
-    plain = blocks(rep, lam) @ blocks(rep, -lam)
-    crossed = _aux_partial_transpose(blocks(rep, lam + 1j)) \
-        @ _aux_partial_transpose(blocks(rep, -lam + 1j))
-    r1 = float(np.max(np.abs(plain - scalar * eye)))
-    r2 = float(np.max(np.abs(crossed - scalar * eye)))
+    r1 = _product_residual(blocks(rep, lam), blocks(rep, -lam), scalar)
+    r2 = _product_residual(_aux_partial_transpose(blocks(rep, lam + 1j)),
+                           _aux_partial_transpose(blocks(rep, -lam + 1j)),
+                           scalar)
     r3 = abs(scalar - via_casimir)
     return max(r1, r2, r3)
 

@@ -158,9 +158,15 @@ _BERNOULLI = (1.0, -1.0 / 2.0, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0)
 _CHUNK = 4096
 
 # The explicit block starts at _START_TERMS terms and doubles until the tail
-# is below tol; a ladder that needs more than _MAX_TERMS does not converge.
+# is below _LADDER_TOL; a ladder that needs more than _MAX_TERMS does not
+# converge.
 _START_TERMS = 64
 _MAX_TERMS = 65536
+
+# Accuracy targets of the two routes: the Gamma-ladder tail estimate and the
+# Fourier quadratures (their cutoff and quad's epsabs/epsrel).
+_LADDER_TOL = 1e-12
+_QUAD_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -281,18 +287,18 @@ def _check_poles(spec):
             raise PoleError("Gamma factor argument hits a pole of Gamma")
 
 
-def _choose_terms(spec, tol):
+def _choose_terms(spec):
     """(K, tail, trunc): the first doubling of _START_TERMS whose tail is
-    below tol."""
+    below _LADDER_TOL."""
     moments = spec.tail_moments()
     K = _START_TERMS
     while True:
         tail, trunc, q = _tail_correction(moments, K)
-        if q <= 0.25 and trunc <= 0.5 * tol:
+        if q <= 0.25 and trunc <= 0.5 * _LADDER_TOL:
             return K, tail, trunc
         if 2 * K > _MAX_TERMS:
             raise NonConvergence(
-                f"gamma_product tail not below tol={tol} at K={K} "
+                f"gamma_product tail not below tol={_LADDER_TOL} at K={K} "
                 f"(estimate {trunc:.3e}, expansion parameter {q:.3f})")
         K = 2 * K
 
@@ -329,12 +335,12 @@ def _log_term_sums(specs, K):
     return sums
 
 
-def gamma_products(specs, tol=1e-12):
+def gamma_products(specs):
     """Evaluate balanced GammaProductSpecs; returns a list of AmplitudeValue.
 
     Per spec, sums K explicit log-terms plus the analytic high-order tail.
     K is grown only until the tail's own truncation estimate drops below
-    tol; summing further would add roundoff (each explicit term cancels
+    _LADDER_TOL; summing further would add roundoff (each explicit term cancels
     log-Gamma values of size ~ b K log(b K)) without gaining accuracy.
     Specs that settle on the same K share log_gamma calls of at most
     _CHUNK arguments.  Raises PoleError if some factor argument hits a
@@ -345,7 +351,7 @@ def gamma_products(specs, tol=1e-12):
     chosen = []
     for spec in specs:
         _check_poles(spec)
-        chosen.append(_choose_terms(spec, tol))
+        chosen.append(_choose_terms(spec))
 
     groups = {}
     for i, (spec, (K, _, _)) in enumerate(zip(specs, chosen)):
@@ -372,12 +378,12 @@ def gamma_products(specs, tol=1e-12):
     return out
 
 
-def gamma_product(spec, tol=1e-12):
+def gamma_product(spec):
     """Evaluate one balanced GammaProductSpec as an AmplitudeValue.
 
     The one-spec case of gamma_products.
     """
-    return gamma_products([spec], tol=tol)[0]
+    return gamma_products([spec])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +393,14 @@ def gamma_product(spec, tol=1e-12):
 _OMEGA_LADDER = (40.0, 80.0, 160.0, 320.0, 640.0, 1280.0)
 
 
-def _cutoff_for(kernel, tol):
+def _cutoff_for(kernel):
     """Pick an upper limit where the (decaying) kernel is negligible."""
     for omega in _OMEGA_LADDER:
-        if abs(kernel(omega)) < 0.01 * tol:
+        if abs(kernel(omega)) < 0.01 * _QUAD_TOL:
             return omega
     raise NonConvergence(
-        f"kernel does not decay below {0.01 * tol} by omega={_OMEGA_LADDER[-1]}")
+        f"kernel does not decay below {0.01 * _QUAD_TOL} by "
+        f"omega={_OMEGA_LADDER[-1]}")
 
 
 def _half_line_quad(integrand, freq, omega_max, tol):
@@ -421,46 +428,46 @@ def _half_line_quad(integrand, freq, omega_max, tol):
     return val, err, int(info["neval"])
 
 
-def fourier_sine_integral(kernel, lam, tol=1e-10):
+def fourier_sine_integral(kernel, lam):
     """int_0^inf sin(w lam) kernel(w) / w dw for an even decaying kernel.
 
     Returns (value, abs_err, evals).  The integrand has a removable point
     at w = 0 (-> lam * kernel(0)).  Raises NonConvergence when quad fails.
     """
     lam = float(lam)
-    omega_max = _cutoff_for(kernel, tol)
+    omega_max = _cutoff_for(kernel)
 
     def integrand(w):
         if w < 1e-9:
             return lam * kernel(1e-9)
         return math.sin(w * lam) * kernel(w) / w
 
-    val, err, evals = _half_line_quad(integrand, lam, omega_max, tol)
+    val, err, evals = _half_line_quad(integrand, lam, omega_max, _QUAD_TOL)
     tail = abs(kernel(omega_max)) / omega_max  # crude bound on the rest
     return val, err + tail, evals
 
 
-def fourier_log_integral(kernel, lam, tol=1e-10):
+def fourier_log_integral(kernel, lam):
     """Amplitude exp[- int_-inf^inf dw/w e^{-i w lam} K(w)] for even K.
 
     Evenness reduces the principal-value integral to
         exp[ 2 i int_0^inf sin(w lam) K(w) / w dw ],
     a pure phase for real lam and real kernel.  Returns AmplitudeValue.
     """
-    val, err, n = fourier_sine_integral(kernel, lam, tol=tol)
+    val, err, n = fourier_sine_integral(kernel, lam)
     amp = complex(np.exp(2j * val))
     return AmplitudeValue(value=amp, err=float(2.0 * abs(amp) * err), terms_used=n)
 
 
-def inverse_fourier_even(kernel, x, tol=1e-10):
+def inverse_fourier_even(kernel, x):
     """(1/2pi) int_-inf^inf e^{-i w x} K(w) dw = (1/pi) int_0^inf cos(w x) K(w) dw.
 
     Returns (value, abs_err); raises NonConvergence when quad fails.
     """
     x = float(x)
-    omega_max = _cutoff_for(kernel, tol)
+    omega_max = _cutoff_for(kernel)
     val, err, _ = _half_line_quad(lambda w: math.cos(w * x) * kernel(w), x,
-                                  omega_max, tol)
+                                  omega_max, _QUAD_TOL)
     return val / math.pi, err / math.pi
 
 

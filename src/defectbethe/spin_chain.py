@@ -23,6 +23,11 @@ from .spin_algebra import build_rep
 
 _DEFAULT_MAX_DIM = 2 ** 14
 
+# solve_bae accepts a root set once max|P_i - 1| <= _BAE_TOL and gives up
+# after _MAX_NEWTON Newton steps.
+_BAE_TOL = 1e-12
+_MAX_NEWTON = 100
+
 
 def dimension_cap():
     """Hilbert-space size limit; override with env var DEFECTBETHE_MAX_DIM."""
@@ -363,8 +368,7 @@ def bae_residual(chain, state):
     return float(np.max(np.abs(p - 1.0)))
 
 
-def solve_bae(chain, M, seeds=None, tol=1e-12, max_iter=100,
-              allow_coincident=False):
+def solve_bae(chain, M, seeds=None):
     """Newton iteration on the product form of the Bethe equations.
 
     Works directly with F_i = P_i - 1 = 0 where P_i is the full phase
@@ -373,7 +377,7 @@ def solve_bae(chain, M, seeds=None, tol=1e-12, max_iter=100,
     Raises NonConvergence (carrying the best residual seen) when the
     iteration stalls.  Coincident roots solve the product form exactly
     but make the Bethe vector vanish, so they are rejected as
-    SingularJacobian unless allow_coincident is set.
+    SingularJacobian.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -387,14 +391,14 @@ def solve_bae(chain, M, seeds=None, tol=1e-12, max_iter=100,
 
     best = math.inf
     best_roots = roots.copy()
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON):
         p = _bae_terms(chain, roots)
         f = p - 1.0
         res = float(np.max(np.abs(f)))
         if res < best:
             best, best_roots = res, roots.copy()
-        if res <= tol:
-            if M > 1 and not allow_coincident:
+        if res <= _BAE_TOL:
+            if M > 1:
                 sep = min(abs(roots[i] - roots[j])
                           for i in range(M) for j in range(i + 1, M))
                 if sep < 1e-8:
@@ -428,7 +432,8 @@ def solve_bae(chain, M, seeds=None, tol=1e-12, max_iter=100,
         roots = roots + step
 
     raise NonConvergence(
-        f"Bethe solver stalled at residual {best:.3e} after {max_iter} steps",
+        f"Bethe solver stalled at residual {best:.3e} after {_MAX_NEWTON} "
+        f"steps",
         best_residual=best, last_iterate=best_roots.tolist())
 
 

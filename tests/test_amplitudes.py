@@ -17,6 +17,7 @@ import scipy.special as sp
 from defectbethe import special_functions
 from defectbethe.amplitudes import (
     DefectRegimeData,
+    attractive_transmission_template,
     branch_index,
     breather_S,
     breather_S_by_integral,
@@ -406,15 +407,16 @@ def test_shifted_spin_rep_not_realizable_outside_window():
 
 def test_attractive_matrix_not_realizable(attractive4):
     data = DefectRegimeData.from_params(attractive4, 1.0)
-    with pytest.raises(NotRealizable):
+    with pytest.raises(NotRealizable,
+                       match="attractive_transmission_template"):
         transmission_matrix(attractive4, data, None, 0.4)
     with pytest.raises(NotRealizable):
         shifted_spin_rep(attractive4, data)
-    tpl = transmission_matrix(attractive4, data, None, 0.4, symbolic=True)
+    tpl = attractive_transmission_template(data)
     # S + 1/2 = 3/2 half-odd: collapses onto the cos branch
     assert tpl["reduction_branch"]["function"] == "cos"
     half = DefectRegimeData.from_params(attractive4, 0.5)
-    tpl = transmission_matrix(attractive4, half, None, 0.4, symbolic=True)
+    tpl = attractive_transmission_template(half)
     assert tpl["reduction_branch"] == {"function": "sin", "sign": -1}
 
 

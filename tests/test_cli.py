@@ -4,10 +4,13 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from defectbethe.cli import main
+from defectbethe.cli import build_parser, main
 
 ROOT_3SITE = 1.0 / (2.0 * math.sqrt(3.0))
 
@@ -20,6 +23,14 @@ def run_cli(capsys, argv):
 
 def json_lines(out):
     return [json.loads(line) for line in out.strip().splitlines() if line]
+
+
+def usage_error(capsys, argv):
+    """stderr of an argv that argparse refuses with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +127,23 @@ def test_verify_defect_spectrum_emits_multiset(capsys):
     assert recs[1]["params"]["multiset"] == [1.0, 0.0, 0.0, -1.0]
 
 
-def test_verify_tolerance_override_fails(capsys, tmp_path):
-    cfg = tmp_path / "tols.cfg"
-    cfg.write_text("# impossible demand\ntol_ybe = 1e-20\n")
+def test_verify_tolerance_override_fails(capsys):
     code, out, _ = run_cli(capsys, [
-        "verify", "ybe", "--samples", "5", "--config", str(cfg)])
+        "verify", "ybe", "--samples", "5", "--tol", "1e-20"])
     assert code == 1
     (rec,) = json_lines(out)
     assert rec["params"]["passed"] is False
     assert rec["params"]["tol"] == 1e-20
+
+
+def test_verify_defect_spectrum_tolerance_override(capsys):
+    # --tol reaches both records: the spectrum and the spin multiset
+    code, out, _ = run_cli(capsys, [
+        "verify", "defect-spectrum", "--spin", "1", "--tol", "1e-20"])
+    recs = json_lines(out)
+    assert [r["params"].get("part") for r in recs] == [None, "spin-multiset"]
+    assert [r["params"]["tol"] for r in recs] == [1e-20, 1e-20]
+    assert code == (0 if all(r["params"]["passed"] for r in recs) else 1)
 
 
 def test_verify_seed_determinism(capsys):
@@ -251,9 +270,14 @@ def test_amp_branch_m_mismatch(capsys):
 
 
 def test_amp_needs_lambda_or_sweep(capsys):
-    code, _, err = run_cli(capsys, ["amp", "kink"])
-    assert code == 2
+    err = usage_error(capsys, ["amp", "kink"])
     assert "--lambda" in err or "--sweep" in err
+
+
+def test_amp_rejects_lambda_with_sweep(capsys):
+    err = usage_error(capsys, [
+        "amp", "kink", "--lambda", "0.3", "--sweep", "0:1:3"])
+    assert "not allowed with" in err
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +443,38 @@ def test_csv_output(capsys):
     assert abs(float(rows[0]["re"]) - float(rows[1]["re"])) < 1e-8
 
 
-def test_bad_config_line(capsys, tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("tol_ybe 1e-10\n")
-    code, _, err = run_cli(capsys, [
-        "verify", "ybe", "--config", str(cfg)])
-    assert code == 2
-    assert "key=value" in err
+def test_config_flag_rejected(capsys):
+    err = usage_error(capsys, ["verify", "ybe", "--config", "tols.cfg"])
+    assert "--config" in err
+
+
+def _readme_command_line_section():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_commands():
+    block = _readme_command_line_section().split("```sh\n", 1)[1]
+    return [shlex.split(line) for line in block.split("```", 1)[0].splitlines()
+            if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, argv):
+    assert argv[0] == "defectbethe"
+    code, out, err = run_cli(capsys, argv[1:])
+    assert code == 0, err
+    assert out
+
+
+def test_readme_flags_exist():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    accepted = {flag for sub in subparsers.values()
+                for flag in sub._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*",
+                           _readme_command_line_section()))
+    assert named and named <= accepted, named - accepted
 
 
 def test_bad_sweep_spec(capsys):
@@ -438,7 +487,7 @@ def test_closed_output_pipe_exits_quietly(capsys, monkeypatch):
     # downstream `head` closing stdout must not produce an error record
     import defectbethe.cli as cli_mod
 
-    def boom(args, cfg, emitter):
+    def boom(args, emitter):
         raise BrokenPipeError
 
     monkeypatch.setattr(cli_mod, "_cmd_identity", boom)

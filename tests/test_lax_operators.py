@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defectbethe import lax_operators
 from defectbethe.lax_operators import (
     d_defect_lax,
     d_r_matrix,
@@ -151,11 +152,25 @@ def test_rll_both_families(xxx, trig, S, rng):
             assert rll_residual(params, rep, l1, l2) < 1e-11
 
 
-def test_rll_residual_detects_perturbation(xxx, trig):
-    # the residual must not be trivially zero: poke one Lax entry
+def test_rll_residual_detects_perturbation(xxx, trig, monkeypatch):
+    # the residual must not be trivially zero: poke one entry of L1(l1)
     for params in (xxx, trig):
         rep = build_rep(1.0, params)
         clean = rll_residual(params, rep, 0.6, -0.4)
-        poked = rll_residual(params, rep, 0.6, -0.4, perturb=(0, 1, 1e-3))
+        with monkeypatch.context() as m:
+            m.setattr(lax_operators, "defect_lax",
+                      _poked_lax(lax_operators.defect_lax, rep, 0.6))
+            poked = rll_residual(params, rep, 0.6, -0.4)
         assert clean < 1e-12
         assert poked > 1e-4
+
+
+def _poked_lax(defect_lax, rep, lam):
+    """defect_lax with 1e-3 added to entry (0, 1) of rep's matrix at lam."""
+    def poked(params, rep_, lam_):
+        mat = defect_lax(params, rep_, lam_)
+        if rep_ is rep and lam_ == lam:
+            mat = mat.copy()
+            mat[0, 1] += 1e-3
+        return mat
+    return poked

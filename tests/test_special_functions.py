@@ -232,7 +232,7 @@ def test_gamma_product_rational_ratio_closed_form():
     # For a+b = c+d:  prod_k (a+k)(b+k)/((c+k)(d+k)) = Gamma(c)Gamma(d)/(Gamma(a)Gamma(b))
     a, b, c, d = 0.3, 1.1, 0.65, 0.75
     assert abs((a + b) - (c + d)) < 1e-15
-    out = gamma_product(_ratio_spec(a, b, c, d), tol=1e-13)
+    out = gamma_product(_ratio_spec(a, b, c, d))
     expected = sp.gamma(c) * sp.gamma(d) / (sp.gamma(a) * sp.gamma(b))
     assert abs(out.value - expected) < 1e-11
     assert abs(out.value - expected) < 20 * max(out.err, 1e-14)
@@ -252,7 +252,7 @@ def test_gamma_product_complex_arguments():
         GammaFactor(sign=+1, a=d, b=1.0, c=0.0),
         GammaFactor(sign=-1, a=d, b=1.0, c=1.0),
     ))
-    out = gamma_product(spec, tol=1e-13)
+    out = gamma_product(spec)
     expected = sp.gamma(c) * sp.gamma(d) / (sp.gamma(a) * sp.gamma(b))
     assert abs(out.value - expected) < 1e-10
 
@@ -284,7 +284,7 @@ def test_gamma_product_renormalized_vs_brute_force():
     f1, f2 = brute_log(4000), brute_log(8000)
     oracle = math.exp(2.0 * f2 - f1)  # kills the O(1/K) remainder
 
-    out = gamma_product(spec, tol=1e-12)
+    out = gamma_product(spec)
     assert abs(out.value - oracle) < 1e-8
 
 
@@ -298,7 +298,7 @@ def test_fourier_sine_integral_exponential_kernel():
     a = 0.7
     for b in (0.0, 0.3, 1.0, 2.5, 7.0):
         val, err, evals = fourier_sine_integral(
-            lambda w: math.exp(-a * w), b, tol=1e-11)
+            lambda w: math.exp(-a * w), b)
         assert abs(val - math.atan2(b, a)) < 1e-9
         assert err < 1e-6
         assert evals > 0
@@ -324,7 +324,7 @@ def test_inverse_fourier_even_sech_pair():
     # (1/pi) int_0^inf cos(w x) / (2 cosh(w/2)) dw = 1 / (2 cosh(pi x))
     kern = lambda w: 1.0 / (2.0 * math.cosh(0.5 * w))
     for x in (0.0, 0.4, 1.1, 2.6):
-        val, err = inverse_fourier_even(kern, x, tol=1e-11)
+        val, err = inverse_fourier_even(kern, x)
         assert abs(val - 0.5 / math.cosh(math.pi * x)) < 1e-9
 
 

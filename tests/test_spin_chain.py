@@ -421,16 +421,16 @@ def test_two_magnon_state_self_conjugate(xxx):
 
 def test_coincident_roots_rejected(xxx):
     chain = ChainSpec(N=2, defect_spin=0.5, params=xxx, theta=0.0)
-    with pytest.raises(SingularJacobian):
+    # Newton converges onto the coalesced pair; the solver then refuses it
+    with pytest.raises(SingularJacobian, match="roots coalesced"):
         solve_bae(chain, 2, seeds=[0.28, 0.29])
-    state = solve_bae(chain, 2, seeds=[0.28, 0.29], allow_coincident=True)
-    assert abs(state.roots[0] - state.roots[1]) < 1e-8
 
 
-def test_solver_failure_carries_diagnostics(xxx):
+def test_solver_failure_carries_diagnostics(xxx, monkeypatch):
+    monkeypatch.setattr(spin_chain, "_MAX_NEWTON", 2)
     chain = ChainSpec(N=2, defect_spin=0.5, params=xxx, theta=0.0)
     with pytest.raises(NonConvergence) as excinfo:
-        solve_bae(chain, 1, seeds=[40.0 + 3.0j], max_iter=2)
+        solve_bae(chain, 1, seeds=[40.0 + 3.0j])
     assert excinfo.value.best_residual is not None
     assert len(excinfo.value.last_iterate) == 1
 
