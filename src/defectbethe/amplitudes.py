@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DomainError, NotRealizable, PoleError, RepMismatch,
                      RootOfUnityError)
-from .lax_operators import defect_lax, exchange_sides, yang_baxter_residual
+from .lax_operators import defect_lax, exchange_sides
 from .special_functions import (AmplitudeValue, GammaFactor, GammaProductSpec,
                                 fourier_log_integral, gamma_product,
                                 gamma_products, inverse_fourier_even,
@@ -103,25 +103,6 @@ class DefectRegimeData:
                    rapidity_offset=rapidity_offset)
 
 
-def one_hole_spin(params, data):
-    """Bare vs physical spin of the one-hole state over the ground state.
-
-    The Bethe-ansatz count produces the bare value; dividing out the
-    regime's renormalization factor returns the shifted spin + 1/2.
-    """
-    if data.regime == REPULSIVE:
-        factor = params.nu / (params.nu - 1.0)
-        physical = data.shifted_spin + 0.5
-    elif data.regime == ATTRACTIVE:
-        factor = params.nu
-        physical = 0.5
-    else:
-        factor = 1.0
-        physical = data.shifted_spin + 0.5
-    return {"bare": factor * physical, "physical": physical,
-            "renormalization": factor}
-
-
 # ---------------------------------------------------------------------------
 # Fourier kernels
 # ---------------------------------------------------------------------------
@@ -137,20 +118,13 @@ def _sinh_ratio(a, b, w):
 def kernel_hat(name, w, params, order=None):
     """Fourier transform of a named convolution kernel at real w.
 
-    Registry (rational family): a, sigma0, r_s, r_t.
-    Registry (trig): a, b, sigma0, r_s, r_t plus the breather-sector
-    kernels sigma0_b, r_b, t_b, R, B (attractive regime only).
-    `order` carries n (for a, b) or y = 2S (for r_t, t_b, B); the window
-    index is derived from it.
+    Registry: r_s and r_t in every regime, plus the breather-sector
+    kernels r_b and t_b (attractive regime only).  `order` carries
+    y = 2S (for r_t, t_b); the window index is derived from it.
     Outside-window or non-decaying combinations raise DomainError.
     """
     w = float(w)
     if params.is_rational:
-        if name == "a":
-            _need(order, name)
-            return math.exp(-order * abs(w) / 2.0)
-        if name == "sigma0":
-            return 1.0 / (2.0 * math.cosh(w / 2.0))
         if name == "r_s":
             return math.exp(-abs(w) / 2.0) / (2.0 * math.cosh(w / 2.0))
         if name == "r_t":
@@ -160,21 +134,7 @@ def kernel_hat(name, w, params, order=None):
         raise DomainError(f"unknown rational kernel {name!r}")
 
     nu = params.nu
-    if name == "a":
-        _need(order, name)
-        m = _window(order, 2.0 * nu)
-        return _sinh_ratio((2 * m + 1) * nu - order, nu, w)
-    if name == "b":
-        _need(order, name)
-        m = _window(order, nu)
-        if m > 1:
-            raise DomainError("b-kernel does not decay for branch m >= 2")
-        return -_sinh_ratio(order - 2 * m * nu, nu, w)
-
     regime = params.regime_name
-    if name == "sigma0":
-        scale = 1.0 if regime == REPULSIVE else nu - 1.0
-        return 1.0 / (2.0 * math.cosh(scale * w / 2.0))
     if name == "r_s":
         if regime == REPULSIVE:
             return _sinh_ratio(nu - 2.0, nu - 1.0, w) \
@@ -197,11 +157,9 @@ def kernel_hat(name, w, params, order=None):
 
     if regime != ATTRACTIVE:
         raise DomainError(f"kernel {name!r} lives in the attractive regime")
-    if name in ("r_b", "R") and nu <= 2.0:
-        raise DomainError(f"{name} kernel does not decay for nu <= 2")
+    if name == "r_b" and nu <= 2.0:
+        raise DomainError("r_b kernel does not decay for nu <= 2")
     ch = math.cosh((nu - 1.0) * w / 2.0)
-    if name == "sigma0_b":
-        return math.cosh((nu - 2.0) * w / 2.0) / ch
     if name == "r_b":
         return -math.cosh((nu - 3.0) * w / 2.0) / ch
     if name == "t_b":
@@ -212,14 +170,6 @@ def kernel_hat(name, w, params, order=None):
             raise DomainError(f"t_b kernel does not decay for "
                               f"2S >= 2 nu - 2, got 2S = {order}")
         return math.cosh((nu - order - 1.0) * w / 2.0) / ch
-    if name == "R":
-        return -math.cosh(w / 2.0) / ch
-    if name == "B":
-        _need(order, name)
-        m = _window(order, nu)
-        if m > 1:
-            raise DomainError("B-kernel does not decay for branch m >= 2")
-        return _sinh_ratio(order - 2 * m * nu, 1.0, w) / (2.0 * ch)
     raise DomainError(f"unknown trig kernel {name!r}")
 
 
@@ -237,41 +187,24 @@ def _window(order, width):
 
 
 # ---------------------------------------------------------------------------
-# dispersion and state densities
+# hole dispersion and state density
 # ---------------------------------------------------------------------------
 
 
-def dispersion(kind, params, lam):
-    """Energy and momentum (eps, p) of an elementary excitation.
+def hole_dispersion(params, lam):
+    """Energy and momentum (eps, p) of a hole (soliton).
 
-    Hole/soliton: eps is the ground-state density sigma0 in closed form,
-    p = 2 pi Int_0^lam eps, odd by convention.  Breather (attractive
-    trig only): closed form derived from the cosh-ratio kernel.
+    eps is the ground-state density sigma0 in closed form,
+    p = 2 pi Int_0^lam eps, odd by convention.
     """
     lam = float(lam)
-    if kind == "hole":
-        if params.is_rational or params.regime_name == REPULSIVE:
-            scale = 1.0
-        else:
-            scale = params.nu - 1.0
-        eps = 1.0 / (2.0 * scale * math.cosh(math.pi * lam / scale))
-        p = math.atan(math.sinh(math.pi * lam / scale))
-        return eps, p
-    if kind == "breather":
-        if params.is_rational or params.regime_name != ATTRACTIVE:
-            raise DomainError("breathers exist in the attractive regime only")
-        nu = params.nu
-        if nu <= 1.5:
-            raise DomainError(
-                "breather dispersion needs nu > 3/2 (kernel decay)")
-        a, b = (nu - 2.0) / 2.0, (nu - 1.0) / 2.0
-        c0 = math.cos(math.pi * a / (2.0 * b))
-        eps = c0 * math.cosh(math.pi * lam / (2.0 * b)) \
-            / (b * (math.cos(math.pi * a / b)
-                    + math.cosh(math.pi * lam / b)))
-        p = 2.0 * math.atan(math.sinh(math.pi * lam / (2.0 * b)) / c0)
-        return eps, p
-    raise DomainError(f"unknown dispersion kind {kind!r}")
+    if params.is_rational or params.regime_name == REPULSIVE:
+        scale = 1.0
+    else:
+        scale = params.nu - 1.0
+    eps = 1.0 / (2.0 * scale * math.cosh(math.pi * lam / scale))
+    p = math.atan(math.sinh(math.pi * lam / scale))
+    return eps, p
 
 
 def state_density(params, data, holes, lam, N):
@@ -280,7 +213,7 @@ def state_density(params, data, holes, lam, N):
     The correction kernels are inverse-transformed by quadrature; only
     sigma0 uses its closed form.
     """
-    eps, _ = dispersion("hole", params, lam)
+    eps, _ = hole_dispersion(params, lam)
     y = 2.0 * data.spin
     corr = 0.0
     for h in holes:
@@ -411,13 +344,6 @@ def s_matrix(params, lam):
     out[1, 1] = out[2, 2] = b
     out[1, 2] = out[2, 1] = c
     return (pref / a) * out
-
-
-def s_matrix_ybe_residual(params, lam1, lam2, lam3=0.0):
-    """Yang-Baxter residual of s_matrix on three kink spaces."""
-    return yang_baxter_residual(s_matrix(params, lam1 - lam2),
-                                s_matrix(params, lam1 - lam3),
-                                s_matrix(params, lam2 - lam3))
 
 
 # ---------------------------------------------------------------------------

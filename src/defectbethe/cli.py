@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -265,6 +266,10 @@ def _integral_point(args, params, data, lam):
 
 
 def _cmd_amp(args, emitter):
+    if args.branch_m is not None and args.kind in ("kink", "breather-s"):
+        raise DefectBetheError(
+            f"--branch-m is a defect's branch index; amp {args.kind} has no "
+            "defect")
     params = _model(args)
     tol = _tolerance(args, 1e-8)
     data = None
@@ -331,8 +336,7 @@ def _bae_solutions(chain, M, rng):
     for center in np.linspace(-1.2, 1.2, 7):
         seeds.append([center + 0.17 * k for k in range(M)])
         if M > 1:
-            seeds.append(list(spin_chain.string_seed(center, M,
-                                                     chain.params)))
+            seeds.append(spin_chain.string_seed(center, M))
     for _ in range(_SCATTER_SEEDS):
         seeds.append((rng.uniform(-1.5, 1.5, M)
                       + 1j * rng.uniform(-0.6, 0.6, M)).tolist())
@@ -449,13 +453,21 @@ def _positive_int(text):
     return value
 
 
+def _finite_nonnegative(text):
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--model", choices=["xxx", "xxz"], default="xxx")
     sub.add_argument("--mu", type=float, default=None,
                      help="anisotropy for --model xxz, in (0, pi)")
     sub.add_argument("--regime", choices=[REPULSIVE, ATTRACTIVE],
                      default=None)
-    sub.add_argument("--tol", type=float, default=None,
+    sub.add_argument("--tol", type=_finite_nonnegative, default=None,
                      help="override the default tolerance of every record")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=["json", "csv"], default="json")
@@ -487,7 +499,8 @@ def build_parser():
     p_amp.add_argument("--spin", type=float, default=0.5)
     p_amp.add_argument("--theta", type=float, default=0.0)
     p_amp.add_argument("--branch-m", type=int, default=None,
-                       help="expected branch index; checked, not forced")
+                       help="expected branch index of the defect "
+                            "(transmission, breather-t); checked, not forced")
     p_amp.add_argument("--n1", type=int, default=1)
     p_amp.add_argument("--n2", type=int, default=1)
     p_amp.add_argument("--method", choices=["product", "integral", "both"],

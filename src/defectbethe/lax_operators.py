@@ -99,14 +99,6 @@ def regularity_scale(params):
     return complex(np.sinh(1j * params.anisotropy))
 
 
-def regularity_check(params):
-    """Least-squares distance of R(0) from the scalar multiple of the swap."""
-    r0 = r_matrix(params, 0.0)
-    p = permutation_matrix()
-    s = np.vdot(p, r0) / np.vdot(p, p)
-    return float(np.max(np.abs(r0 - s * p)))
-
-
 def yang_baxter_residual(m12, m13, m23):
     """max-norm of M12 M13 M23 - M23 M13 M12 on three 2-dimensional spaces.
 

@@ -29,13 +29,6 @@ class CheckReport:
     tolerance: float
     details: dict = field(default_factory=dict)
 
-    def to_record(self):
-        rec = {"check": self.name, "passed": bool(self.passed),
-               "residual": float(self.residual),
-               "tolerance": float(self.tolerance)}
-        rec.update(self.details)
-        return rec
-
 
 def closed_form_defect_eigenvalues(params, rep, lam):
     """Closed-form spectrum of the one-site defect matrix, with multiplicity.

@@ -112,11 +112,6 @@ def log_gamma(z):
     return out.reshape(np.shape(z))
 
 
-def gamma_fn(z):
-    """Gamma(z) = exp(log_gamma(z))."""
-    return np.exp(log_gamma(z))
-
-
 # ---------------------------------------------------------------------------
 # Amplitude container
 # ---------------------------------------------------------------------------

@@ -72,15 +72,6 @@ class ModelParameters:
         return math.pi / self.anisotropy
 
     @property
-    def q(self):
-        return complex(np.exp(1j * self.anisotropy))
-
-    @property
-    def delta(self):
-        """XXZ anisotropy Delta = cos mu."""
-        return math.cos(self.anisotropy)
-
-    @property
     def regime_name(self):
         if self.family == RATIONAL:
             raise DomainError("rational family has no regime")

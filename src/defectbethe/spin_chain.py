@@ -100,31 +100,11 @@ class BetheState:
             raise ValueError("M must equal the number of roots")
         object.__setattr__(self, "roots", tuple(complex(r) for r in self.roots))
 
-    def conjugation_defect(self):
-        """Distance of the root multiset from its complex conjugate.
 
-        Physical states are self-conjugate; a large value flags an
-        unphysical or drifted configuration.
-        """
-        if not self.roots:
-            return 0.0
-        rem = list(self.roots)
-        worst = 0.0
-        for r in self.roots:
-            best = min(rem, key=lambda x: abs(x - np.conj(r)))
-            worst = max(worst, abs(best - np.conj(r)))
-            rem.remove(best)
-        return float(worst)
-
-
-def string_seed(center, length, params=None, negative_parity=False):
+def string_seed(center, length):
     """String-template seed: center + (i/2)(length+1-2j), j = 1..length."""
-    seed = [center + 0.5j * (length + 1 - 2 * j) for j in range(1, length + 1)]
-    if negative_parity:
-        if params is None or params.is_rational:
-            raise DomainError("negative-parity strings need a trig model")
-        seed = [s + 1j * math.pi / (2 * params.anisotropy) for s in seed]
-    return seed
+    return [center + 0.5j * (length + 1 - 2 * j)
+            for j in range(1, length + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,31 +286,22 @@ def hermiticity_residual(mat):
 # ---------------------------------------------------------------------------
 
 
-def elementary_ratio(kind, params, order, lam):
-    """Ratio functions e_n (sinh/linear) and g_n (cosh, trig only)."""
+def elementary_ratio(params, order, lam):
+    """Ratio function e_n (sinh/linear) at lam."""
     lam = complex(lam)
-    if kind == "e":
-        if params.is_rational:
-            num, den = lam + 0.5j * order, lam - 0.5j * order
-        else:
-            mu = params.anisotropy
-            num = np.sinh(mu * (lam + 0.5j * order))
-            den = np.sinh(mu * (lam - 0.5j * order))
-    elif kind == "g":
-        if params.is_rational:
-            raise DomainError("g-type ratios exist only for the trig model")
-        mu = params.anisotropy
-        num = np.cosh(mu * (lam + 0.5j * order))
-        den = np.cosh(mu * (lam - 0.5j * order))
+    if params.is_rational:
+        num, den = lam + 0.5j * order, lam - 0.5j * order
     else:
-        raise DomainError(f"unknown ratio kind {kind!r}")
+        mu = params.anisotropy
+        num = np.sinh(mu * (lam + 0.5j * order))
+        den = np.sinh(mu * (lam - 0.5j * order))
     if abs(den) < 1e-13 * (1.0 + abs(num)):
-        raise PoleError(f"{kind}_{order} pole at lam={lam}")
+        raise PoleError(f"e_{order} pole at lam={lam}")
     return complex(num / den)
 
 
 def _ratio_logderiv(params, order, lam):
-    """d/dlam log e_n(lam), e_n = elementary_ratio("e", ...)."""
+    """d/dlam log e_n(lam), e_n = elementary_ratio(params, n, lam)."""
     if params.is_rational:
         return 1.0 / (lam + 0.5j * order) - 1.0 / (lam - 0.5j * order)
     mu = params.anisotropy
@@ -350,12 +321,12 @@ def _bae_terms(chain, roots):
     m = len(roots)
     p = np.zeros(m, dtype=complex)
     for i, lam in enumerate(roots):
-        val = elementary_ratio("e", params, y, lam - chain.theta) \
-            * elementary_ratio("e", params, 1.0, lam) ** chain.N
+        val = elementary_ratio(params, y, lam - chain.theta) \
+            * elementary_ratio(params, 1.0, lam) ** chain.N
         for j in range(m):
             if j == i:
                 continue
-            val = val / elementary_ratio("e", params, 2.0, lam - roots[j])
+            val = val / elementary_ratio(params, 2.0, lam - roots[j])
         p[i] = val
     return p
 
@@ -436,7 +407,3 @@ def solve_bae(chain, M, seeds=None):
         f"steps",
         best_residual=best, last_iterate=best_roots.tolist())
 
-
-def magnon_sector_sz(chain, M):
-    """Total z-spin of an M-magnon state: N/2 + S - M."""
-    return chain.N / 2.0 + chain.defect_spin - M

@@ -26,15 +26,13 @@ from defectbethe.amplitudes import (
     corrigan_form,
     corrigan_product_spec,
     corrigan_variables,
-    dispersion,
+    hole_dispersion,
     kernel_hat,
     kink_S_amplitude,
     kink_S_amplitudes,
     kink_S_by_integral,
     kink_product_spec,
-    one_hole_spin,
     s_matrix,
-    s_matrix_ybe_residual,
     shifted_spin_rep,
     state_density,
     transmission_amplitude,
@@ -53,6 +51,7 @@ from defectbethe.errors import (
     PoleError,
     RepMismatch,
 )
+from defectbethe.lax_operators import yang_baxter_residual
 from defectbethe.spin_algebra import (
     ATTRACTIVE,
     REPULSIVE,
@@ -118,44 +117,27 @@ def test_branch_window_edges(repulsive4, attractive4):
         branch_index(attractive4, 2.0)  # 2S = 4 = nu
 
 
-def test_one_hole_spin(xxx, repulsive4, attractive4):
-    d = DefectRegimeData.from_params(xxx, 1.0)
-    out = one_hole_spin(xxx, d)
-    assert out["physical"] == 1.0 and out["renormalization"] == 1.0
-    d = DefectRegimeData.from_params(repulsive4, 1.0)
-    out = one_hole_spin(repulsive4, d)
-    assert abs(out["physical"] - 1.0) < 1e-12
-    assert abs(out["bare"] - 4.0 / 3.0) < 1e-12
-    d = DefectRegimeData.from_params(attractive4, 1.0)
-    out = one_hole_spin(attractive4, d)
-    assert out["physical"] == 0.5 and abs(out["bare"] - 2.0) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # elementary ratios and kernels
 # ---------------------------------------------------------------------------
 
 
 def test_elementary_ratio(xxx, trig):
-    assert abs(elementary_ratio("e", xxx, 1.0, 0.4)
+    assert abs(elementary_ratio(xxx, 1.0, 0.4)
                - (0.4 + 0.5j) / (0.4 - 0.5j)) < 1e-14
-    g = elementary_ratio("g", trig, 1.0, 0.4)
-    assert abs(abs(g) - 1.0) < 1e-12
-    with pytest.raises(DomainError):
-        elementary_ratio("g", xxx, 1.0, 0.4)
-    with pytest.raises(DomainError):
-        elementary_ratio("h", xxx, 1.0, 0.4)
+    e = elementary_ratio(trig, 1.0, 0.4)
+    assert abs(abs(e) - 1.0) < 1e-12
     with pytest.raises(PoleError):
-        elementary_ratio("e", xxx, 1.0, 0.5j)
+        elementary_ratio(xxx, 1.0, 0.5j)
 
 
 def test_kernel_registry_guards(xxx, repulsive4, attractive4):
     with pytest.raises(DomainError):
         kernel_hat("nope", 0.3, xxx)
     with pytest.raises(DomainError):
-        kernel_hat("a", 0.3, xxx)  # needs an order
+        kernel_hat("r_t", 0.3, xxx)  # needs an order
     with pytest.raises(DomainError):
-        kernel_hat("sigma0_b", 0.3, repulsive4)  # attractive-only kernel
+        kernel_hat("r_b", 0.3, repulsive4)  # attractive-only kernel
     # attractive transmission kernel only decays on branches m <= 1
     att12 = ModelParameters.xxz(math.pi / 1.2, ATTRACTIVE)
     with pytest.raises(DomainError):
@@ -166,12 +148,11 @@ def test_kernel_registry_guards(xxx, repulsive4, attractive4):
 
 def test_breather_kernels_reject_non_decay(attractive4):
     # cosh-ratio breather kernels over cosh((nu - 1) w/2) grow or level off
-    # for r_b and R when nu <= 2, and for t_b when 2S >= 2 nu - 2
+    # for r_b when nu <= 2, and for t_b when 2S >= 2 nu - 2
     for nu in (1.6, 2.0):
         params = ModelParameters.xxz(math.pi / nu, ATTRACTIVE)
-        for name in ("r_b", "R"):
-            with pytest.raises(DomainError, match="does not decay"):
-                kernel_hat(name, 0.3, params)
+        with pytest.raises(DomainError, match="does not decay"):
+            kernel_hat("r_b", 0.3, params)
     att16 = ModelParameters.xxz(math.pi / 1.6, ATTRACTIVE)
     with pytest.raises(DomainError, match="does not decay"):
         kernel_hat("t_b", 0.3, att16, order=1.4)
@@ -180,12 +161,9 @@ def test_breather_kernels_reject_non_decay(attractive4):
 
 
 def test_kernels_are_even(xxx, repulsive4, attractive4):
-    cases = [("a", xxx, 2.0), ("sigma0", xxx, None), ("r_s", xxx, None),
-             ("r_t", xxx, 3.0), ("a", repulsive4, 2.0),
+    cases = [("r_s", xxx, None), ("r_t", xxx, 3.0),
              ("r_s", repulsive4, None), ("r_t", repulsive4, 2.0),
-             ("sigma0_b", attractive4, None), ("r_b", attractive4, None),
-             ("t_b", attractive4, 2.0), ("R", attractive4, None),
-             ("B", attractive4, 2.0)]
+             ("r_b", attractive4, None), ("t_b", attractive4, 2.0)]
     for name, params, order in cases:
         for w in (0.37, 1.9):
             assert abs(kernel_hat(name, w, params, order=order)
@@ -202,32 +180,17 @@ def test_hole_dispersion_density_relation(xxx, repulsive4, attractive4, lam):
     # dp/dlam = 2 pi eps for every regime
     h = 1e-6
     for params in (xxx, repulsive4, attractive4):
-        eps, _ = dispersion("hole", params, lam)
-        _, pp = dispersion("hole", params, lam + h)
-        _, pm = dispersion("hole", params, lam - h)
+        eps, _ = hole_dispersion(params, lam)
+        _, pp = hole_dispersion(params, lam + h)
+        _, pm = hole_dispersion(params, lam - h)
         assert abs((pp - pm) / (2 * h) - 2.0 * math.pi * eps) < 1e-8
         assert eps > 0.0
-
-
-def test_breather_dispersion(attractive4):
-    h = 1e-6
-    for lam in (-0.9, 0.2, 1.7):
-        eps, _ = dispersion("breather", attractive4, lam)
-        _, pp = dispersion("breather", attractive4, lam + h)
-        _, pm = dispersion("breather", attractive4, lam - h)
-        assert abs((pp - pm) / (2 * h) - 2.0 * math.pi * eps) < 1e-8
-    with pytest.raises(DomainError):
-        dispersion("breather", ModelParameters.xxz(math.pi / 1.4, ATTRACTIVE), 0.3)
-    with pytest.raises(DomainError):
-        dispersion("breather", ModelParameters.xxx(), 0.3)
-    with pytest.raises(DomainError):
-        dispersion("wave", attractive4, 0.3)
 
 
 def test_state_density_finite_size_scaling(xxx):
     data = DefectRegimeData.from_params(xxx, 1.0, rapidity=0.3)
     lam = 0.7
-    eps, _ = dispersion("hole", xxx, lam)
+    eps, _ = hole_dispersion(xxx, lam)
     d1 = state_density(xxx, data, holes=[0.1], lam=lam, N=64)
     d2 = state_density(xxx, data, holes=[0.1], lam=lam, N=128)
     assert abs(d2 - eps) < abs(d1 - eps)
@@ -259,7 +222,10 @@ def test_kink_S_unitarity_and_normalization(xxx, repulsive4):
 @pytest.mark.parametrize("pair", [(0.7, -0.4), (1.3, 0.5), (-0.8, 0.9)])
 def test_s_matrix_ybe(xxx, repulsive4, attractive4, pair):
     for params in (xxx, repulsive4, attractive4):
-        assert s_matrix_ybe_residual(params, pair[0], pair[1]) < 1e-10
+        l1, l2 = pair
+        assert yang_baxter_residual(s_matrix(params, l1 - l2),
+                                    s_matrix(params, l1),
+                                    s_matrix(params, l2)) < 1e-10
 
 
 def test_s_matrix_pole(xxx):

@@ -269,6 +269,18 @@ def test_amp_branch_m_mismatch(capsys):
     assert "branch" in err
 
 
+@pytest.mark.parametrize("kind", [
+    ["kink"],
+    ["breather-s", "--model", "xxz", "--mu", str(math.pi / 4),
+     "--regime", "attractive", "--spin", "2.5"]])
+def test_amp_branch_m_without_defect_rejected(capsys, kind):
+    # kink and breather-s involve no defect, so no branch to check
+    code, out, err = run_cli(capsys, [
+        "amp", *kind, "--lambda", "0.3", "--branch-m", "1"])
+    assert code == 2 and out == ""
+    assert "--branch-m" in json.loads(err)["error"]
+
+
 def test_amp_needs_lambda_or_sweep(capsys):
     err = usage_error(capsys, ["amp", "kink"])
     assert "--lambda" in err or "--sweep" in err
@@ -408,6 +420,15 @@ def test_samples_below_one_rejected(capsys, argv, samples):
     assert exc.value.code == 2
     _, err = capsys.readouterr()
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "ybe"],
+                                  ["amp", "kink", "--lambda", "0.3",
+                                   "--method", "both"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_must_be_finite_and_nonnegative(capsys, argv, tol):
+    err = usage_error(capsys, [*argv, "--tol", tol])
+    assert "--tol" in err
 
 
 # ---------------------------------------------------------------------------

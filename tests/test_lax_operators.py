@@ -14,7 +14,6 @@ from defectbethe.lax_operators import (
     defect_lax,
     permutation_matrix,
     r_matrix,
-    regularity_check,
     regularity_scale,
     rll_residual,
     two_site_operator,
@@ -79,7 +78,6 @@ def test_permutation_matrix():
 
 def test_regularity_both_families(xxx, trig):
     for params in (xxx, trig):
-        assert regularity_check(params) < 1e-14
         r0 = r_matrix(params, 0.0)
         s = regularity_scale(params)
         assert np.max(np.abs(r0 - s * permutation_matrix())) < 1e-14

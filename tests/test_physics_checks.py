@@ -57,8 +57,7 @@ def test_spectrum_reports(xxx, trig):
     rep = build_rep(1.0, xxx)
     report = pc.defect_spectrum_report(xxx, rep, 0.73)
     assert report.passed and report.residual <= report.tolerance
-    rec = report.to_record()
-    assert rec["check"] == report.name and rec["passed"] is True
+    assert report.name == "defect-spectrum" and report.passed is True
 
     report = pc.defect_spectrum_report(trig, build_rep(0.5, trig), 0.7)
     assert report.passed

@@ -27,7 +27,6 @@ from defectbethe.special_functions import (
     GammaProductSpec,
     fourier_log_integral,
     fourier_sine_integral,
-    gamma_fn,
     gamma_product,
     gamma_products,
     inverse_fourier_even,
@@ -37,8 +36,12 @@ from defectbethe.special_functions import (
 
 
 # ---------------------------------------------------------------------------
-# log_gamma / gamma_fn
+# log_gamma
 # ---------------------------------------------------------------------------
+
+
+def gamma_fn(z):
+    return np.exp(log_gamma(z))
 
 
 def test_log_gamma_matches_scipy_on_grid():

@@ -64,11 +64,6 @@ def test_gamma_by_regime(repulsive4, attractive4):
     assert abs(attractive4.gamma - 3.0) < 1e-12
 
 
-def test_delta_and_q(trig):
-    assert abs(trig.delta - math.cos(0.3)) < 1e-15
-    assert abs(trig.q - complex(math.cos(0.3), math.sin(0.3))) < 1e-15
-
-
 # ---------------------------------------------------------------------------
 # q-numbers
 # ---------------------------------------------------------------------------
