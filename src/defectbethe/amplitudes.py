@@ -22,14 +22,12 @@ import numpy as np
 from .errors import (DomainError, NotRealizable, PoleError, RepMismatch,
                      RootOfUnityError)
 from .lax_operators import defect_lax, exchange_sides
-from .special_functions import (AmplitudeValue, GammaFactor, GammaProductSpec,
+from .special_functions import (AmplitudeValue, GammaProductSpec,
                                 fourier_log_integral, gamma_product,
                                 gamma_products, inverse_fourier_even,
                                 log_gamma)
 from .spin_algebra import (ATTRACTIVE, REPULSIVE, ModelParameters,
                            SpinRepresentation, build_rep)
-
-_F = GammaFactor
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +235,11 @@ def _odd_ladder(z, gamma, p, q):
     z -> -z inverts it.  The kink and both transmission ladders are this
     one with their own offsets p and q.
     """
-    step = 2 * gamma
-    return GammaProductSpec(factors=(
-        _F(+1, z, step, p[0]), _F(+1, z, step, p[1]),
-        _F(+1, -z, step, q[0]), _F(+1, -z, step, q[1]),
-        _F(-1, z, step, q[0]), _F(-1, z, step, q[1]),
-        _F(-1, -z, step, p[0]), _F(-1, -z, step, p[1]),
-    ))
+    return GammaProductSpec(
+        signs=(+1, +1, +1, +1, -1, -1, -1, -1),
+        offsets=(z + p[0], z + p[1], -z + q[0], -z + q[1],
+                 z + q[0], z + q[1], -z + p[0], -z + p[1]),
+        step=2 * gamma)
 
 
 def kink_product_spec(z, gamma):
@@ -277,12 +273,12 @@ def corrigan_product_spec(z1, z2, gamma):
     supplied by the evaluation engine.
     """
     g = gamma
-    return GammaProductSpec(factors=(
-        _F(+1, z1, 2 * g, g + 0.5), _F(+1, z2, 2 * g, g + 0.5),
-        _F(+1, -z1, 2 * g, 2 * g + 0.5), _F(+1, -z2, 2 * g, 2 * g + 0.5),
-        _F(-1, z1, 2 * g, 2 * g + 0.5), _F(-1, z2, 2 * g, 2 * g + 0.5),
-        _F(-1, -z1, 2 * g, g + 0.5), _F(-1, -z2, 2 * g, g + 0.5),
-    ), renormalized=True)
+    h, w = g + 0.5, 2 * g + 0.5
+    return GammaProductSpec(
+        signs=(+1, +1, +1, +1, -1, -1, -1, -1),
+        offsets=(z1 + h, z2 + h, -z1 + w, -z2 + w,
+                 z1 + w, z2 + w, -z1 + h, -z2 + h),
+        step=2 * g, renormalized=True)
 
 
 # ---------------------------------------------------------------------------

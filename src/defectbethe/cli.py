@@ -100,13 +100,15 @@ def _model(args):
 def _parse_sweep(text):
     try:
         lo, hi, steps = text.split(":")
-        grid = np.linspace(float(lo), float(hi), int(steps))
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise DefectBetheError(f"bad --sweep {text!r}, want min:max:steps") \
             from exc
-    if grid.size < 1:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DefectBetheError(f"--sweep {text!r} needs finite endpoints")
+    if steps < 1:
         raise DefectBetheError("--sweep needs at least one step")
-    return grid
+    return np.linspace(lo, hi, steps)
 
 
 def _spin_list(args, default):
@@ -453,17 +455,23 @@ def _positive_int(text):
     return value
 
 
-def _finite_nonnegative(text):
+def _finite_float(text):
     value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"must be finite and >= 0, got {text}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _finite_nonnegative(text):
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
 
 
 def _add_common(sub):
     sub.add_argument("--model", choices=["xxx", "xxz"], default="xxx")
-    sub.add_argument("--mu", type=float, default=None,
+    sub.add_argument("--mu", type=_finite_float, default=None,
                      help="anisotropy for --model xxz, in (0, pi)")
     sub.add_argument("--regime", choices=[REPULSIVE, ATTRACTIVE],
                      default=None)
@@ -484,7 +492,7 @@ def build_parser():
     p_verify.add_argument("what", choices=["ybe", "rll", "rtt", "unitarity",
                                            "crossing", "casimir",
                                            "defect-spectrum"])
-    p_verify.add_argument("--spin", type=float, action="append",
+    p_verify.add_argument("--spin", type=_finite_float, action="append",
                           help="repeatable; defaults depend on the check")
     p_verify.add_argument("--samples", type=_positive_int, default=20)
     _add_common(p_verify)
@@ -494,10 +502,10 @@ def build_parser():
     p_amp.add_argument("kind", choices=["kink", "transmission",
                                         "breather-s", "breather-t"])
     points = p_amp.add_mutually_exclusive_group(required=True)
-    points.add_argument("--lambda", dest="lam", type=float, default=None)
+    points.add_argument("--lambda", dest="lam", type=_finite_float)
     points.add_argument("--sweep", default=None, metavar="MIN:MAX:STEPS")
-    p_amp.add_argument("--spin", type=float, default=0.5)
-    p_amp.add_argument("--theta", type=float, default=0.0)
+    p_amp.add_argument("--spin", type=_finite_float, default=0.5)
+    p_amp.add_argument("--theta", type=_finite_float, default=0.0)
     p_amp.add_argument("--branch-m", type=int, default=None,
                        help="expected branch index of the defect "
                             "(transmission, breather-t); checked, not forced")
@@ -513,8 +521,8 @@ def build_parser():
     p_chain.add_argument("--N", type=int, required=True,
                          help="number of bulk spin-1/2 sites")
     p_chain.add_argument("--defect-site", type=int, default=None)
-    p_chain.add_argument("--spin", type=float, default=0.5)
-    p_chain.add_argument("--theta", type=float, default=0.0)
+    p_chain.add_argument("--spin", type=_finite_float, default=0.5)
+    p_chain.add_argument("--theta", type=_finite_float, default=0.0)
     p_chain.add_argument("--magnons", type=int, default=1)
     _add_common(p_chain)
     p_chain.set_defaults(fn=_cmd_chain)

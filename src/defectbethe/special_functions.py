@@ -4,8 +4,8 @@ These three primitives carry all scalar amplitude evaluations in the package:
 
   * log_gamma        -- principal-branch log Gamma(z), rational (Lanczos-type)
                         approximation for Re z >= 1/2, reflection below.
-  * gamma_products   -- prod_{k>=0} prod_i Gamma(a_i + b k + c_i)^{s_i} for
-                        sign-balanced factor families of one step b,
+  * gamma_products   -- prod_{k>=0} prod_i Gamma(d_i + b k)^{s_i} for
+                        sign-balanced offsets d_i and one step b,
                         truncated with a Stirling-series tail; a whole
                         grid of such products shares batched log_gamma
                         calls (gamma_product is the one-product case).
@@ -19,7 +19,7 @@ stack live here as verify_gamma_integral_identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma as sp_digamma, zeta as sp_zeta
@@ -165,27 +165,14 @@ _QUAD_TOL = 1e-11
 
 
 @dataclass(frozen=True)
-class GammaFactor:
-    """One factor family Gamma(a + b k + c)^sign, k = 0, 1, 2, ..."""
-
-    sign: int
-    a: complex
-    b: float
-    c: float = 0.0
-
-    def argument(self, k):
-        return self.a + self.b * np.asarray(k, dtype=float) + self.c
-
-
-@dataclass(frozen=True)
 class GammaProductSpec:
-    """Specification of prod_{k=0}^inf of a balanced family of Gamma factors.
+    """prod_{k=0}^inf prod_i Gamma(d_i + b k)^{s_i}: signs s_i, offsets d_i
+    and one step b.
 
-    All factors share one step b.  Balance requirements (checked at
-    construction): the sum of signs vanishes, and the first and second
-    moments of the offsets d_i = a_i + c_i vanish.  These kill the
-    O(ln k), O(1) and O(1/k) parts of the log-summand, leaving an
-    absolutely convergent O(1/k^2) tail.
+    Balance requirements (checked at construction): the sum of signs
+    vanishes, and the first and second moments of the offsets vanish.
+    These kill the O(ln k), O(1) and O(1/k) parts of the log-summand,
+    leaving an absolutely convergent O(1/k^2) tail.
 
     With renormalized=True the second-moment condition is dropped and the
     product is read in the compensated sense
@@ -196,22 +183,19 @@ class GammaProductSpec:
     are meant; callers re-attach any scale factor (like b^c1) themselves.
     """
 
-    factors: tuple = field(default_factory=tuple)
+    signs: tuple
+    offsets: tuple
+    step: float
     renormalized: bool = False
 
     def __post_init__(self):
-        if not self.factors:
+        if not self.signs:
             raise ValueError("empty product")
-        for f in self.factors:
-            if f.sign not in (+1, -1):
-                raise ValueError(f"sign must be +/-1, got {f.sign}")
-            if not f.b > 0.0:
-                raise ValueError(f"step must be positive, got {f.b}")
-        if len({f.b for f in self.factors}) > 1:
-            raise ValueError("all factors must share one step")
-        m0 = sum(f.sign for f in self.factors)
-        m1 = sum(f.sign * (f.a + f.c) for f in self.factors)
-        m2 = sum(f.sign * (f.a + f.c) ** 2 for f in self.factors)
+        if any(s not in (+1, -1) for s in self.signs):
+            raise ValueError(f"signs must be +/-1, got {self.signs}")
+        if not self.step > 0.0:
+            raise ValueError(f"step must be positive, got {self.step}")
+        m0, m1, m2 = self._moments(3)
         if m0 != 0:
             raise ValueError("unbalanced signs")
         if abs(m1) > 1e-9:
@@ -224,22 +208,19 @@ class GammaProductSpec:
                 f"product only exists in the renormalized sense "
                 f"(pass renormalized=True)")
 
-    @property
-    def step(self):
-        """The step b that all factors share."""
-        return self.factors[0].b
+    def _moments(self, n):
+        """[M_0 .. M_{n-1}], M_j = sum_i s_i d_i^j; one offset per sign."""
+        pairs = list(zip(self.signs, self.offsets, strict=True))
+        return [sum(s * d ** j for s, d in pairs) for j in range(n)]
 
     def renorm_coefficient(self):
         """c1 = M2/(2b); 0 for a balanced product."""
-        return sum(f.sign * (f.a + f.c) ** 2
-                   for f in self.factors) / (2.0 * self.step)
+        return self._moments(3)[2] / (2.0 * self.step)
 
     def tail_moments(self):
         """(b, [M_0 .. M_{_TAIL_ORDER+1}], max |offset|), for the tail."""
-        m = [sum(f.sign * (f.a + f.c) ** j for f in self.factors)
-             for j in range(_TAIL_ORDER + 2)]
-        dmax = max(abs(f.a + f.c) for f in self.factors)
-        return float(self.step), m, dmax
+        dmax = max(abs(d) for d in self.offsets)
+        return float(self.step), self._moments(_TAIL_ORDER + 2), dmax
 
 
 def _tail_correction(moments, K):
@@ -272,16 +253,6 @@ def _tail_correction(moments, K):
     return sum(terms), trunc, q
 
 
-def _check_poles(spec):
-    # poles can only occur while Re(argument) is still small
-    for f in spec.factors:
-        re0 = (f.a + f.c).real
-        k_max_check = max(0, int(np.ceil((1.0 - re0) / f.b))) + 2
-        args = f.argument(np.arange(k_max_check))
-        if np.any(_near_nonpositive_integer(args)):
-            raise PoleError("Gamma factor argument hits a pole of Gamma")
-
-
 def _choose_terms(spec):
     """(K, tail, trunc): the first doubling of _START_TERMS whose tail is
     below _LADDER_TOL."""
@@ -301,18 +272,17 @@ def _choose_terms(spec):
 def _log_term_sums(specs, K):
     """sum_{k<K} t(k) for each spec; all share K and a factor count.
 
-    The (spec, factor, k) arguments are built as a + b*k + c and their
+    The (spec, factor, k) arguments are built as d + b*k and their
     log-Gammas summed over factors in spec order, then over k, so each
     value is bit-identical to the same sum taken one spec at a time.
+    log_gamma raises PoleError on any argument at a pole: _choose_terms
+    keeps max|d| <= b K / 4, so every argument with real part <= 0 lies
+    in this block.
     """
-    n, F = len(specs), len(specs[0].factors)
-
-    def column(attr, dtype):  # (spec, factor, 1) array of one attribute
-        return np.array([[getattr(f, attr) for f in spec.factors]
-                         for spec in specs], dtype=dtype)[:, :, None]
-
-    sign, a = column("sign", int), column("a", complex)
-    b, c = column("b", float), column("c", float)
+    n, F = len(specs), len(specs[0].signs)
+    sign = np.array([spec.signs for spec in specs], dtype=int)[:, :, None]
+    d = np.array([spec.offsets for spec in specs], dtype=complex)[:, :, None]
+    b = np.array([spec.step for spec in specs], dtype=float)[:, None, None]
     k = np.arange(K, dtype=float)
     rows = max(1, _CHUNK // (F * K))   # whole specs per call ...
     width = min(K, max(1, _CHUNK // F))  # ... or a k-slice of one spec
@@ -321,7 +291,7 @@ def _log_term_sums(specs, K):
         rs = slice(r0, r0 + rows)
         terms = np.empty((len(sign[rs]), K), dtype=complex)
         for k0 in range(0, K, width):
-            lg = log_gamma(a[rs] + b[rs] * k[k0:k0 + width] + c[rs])
+            lg = log_gamma(d[rs] + b[rs] * k[k0:k0 + width])
             total = 0.0 + 0.0j
             for i in range(F):
                 total = total + sign[rs, i] * lg[:, i, :]
@@ -338,19 +308,16 @@ def gamma_products(specs):
     _LADDER_TOL; summing further would add roundoff (each explicit term cancels
     log-Gamma values of size ~ b K log(b K)) without gaining accuracy.
     Specs that settle on the same K share log_gamma calls of at most
-    _CHUNK arguments.  Raises PoleError if some factor argument hits a
-    Gamma pole, and NonConvergence if no admissible K exists up to
-    _MAX_TERMS, for the first spec where either happens.
+    _CHUNK arguments.  Raises NonConvergence if no admissible K exists up
+    to _MAX_TERMS for some spec, and PoleError if some factor argument
+    hits a Gamma pole.
     """
     specs = list(specs)
-    chosen = []
-    for spec in specs:
-        _check_poles(spec)
-        chosen.append(_choose_terms(spec))
+    chosen = [_choose_terms(spec) for spec in specs]
 
     groups = {}
     for i, (spec, (K, _, _)) in enumerate(zip(specs, chosen)):
-        groups.setdefault((K, len(spec.factors)), []).append(i)
+        groups.setdefault((K, len(spec.signs)), []).append(i)
     log_sums = np.empty(len(specs), dtype=complex)
     for (K, _), idx in groups.items():
         log_sums[idx] = _log_term_sums([specs[i] for i in idx], K)
@@ -531,11 +498,10 @@ def verify_gamma_integral_identity(kind, mu_param, beta_param=None):
         lhs, _, _ = _half_line_quad(integrand, 0.0, upper, 1e-9)
 
         # D3 of the log-product, as one balanced product of Gamma factors
-        spec = GammaProductSpec(factors=tuple(
-            GammaFactor(sign=int(math.copysign(1, c)), a=0.5 * (mu + j),
-                        b=beta, c=0.5 * beta + 0.5)
-            for j, c in enumerate(coeff) for _ in range(int(abs(c)))
-        ))
+        signs, offsets = zip(*[
+            (int(math.copysign(1, c)), 0.5 * (mu + j) + (0.5 * beta + 0.5))
+            for j, c in enumerate(coeff) for _ in range(int(abs(c)))])
+        spec = GammaProductSpec(signs=signs, offsets=offsets, step=beta)
         rhs = math.log(abs(gamma_product(spec).value))
         return abs(lhs - rhs)
 

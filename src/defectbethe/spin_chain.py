@@ -206,10 +206,10 @@ def _hamiltonian_coo(chain):
 
     Each local term is scattered with the identity on the other sites;
     exact zeros are dropped, duplicates are left for the caller to sum.
-    The cap is checked against D.
+    The cap is checked against D first, before the defect rep is built.
     """
-    terms = _local_terms(chain)
     chain.check_cap()
+    terms = _local_terms(chain)
     dims = chain.site_dims
     rows, cols, vals = [], [], []
     for slots, mat in terms:

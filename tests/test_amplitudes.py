@@ -336,28 +336,31 @@ def test_transmission_blocks_match_two_branch_formula(xxx):
 
 def test_ladder_specs_match_explicit_factors():
     # reference copies of the three ladders as eight explicit factors
-    F = special_functions.GammaFactor
+    signs = (+1, +1, +1, +1, -1, -1, -1, -1)
+
+    def parts(spec):
+        return spec.signs, spec.offsets, spec.step
+
     for z, g, st, m in ((0.4j, 1.0 / 3.0, 0.5, 0), (-1.2 + 0.3j, 3.0, 1.0, 1),
                         (2.5j, 5.0 / 3.0, 0.0, 0)):
-        kink = (F(+1, z, 2 * g, 2 * g), F(+1, z, 2 * g, 1.0),
-                F(+1, -z, 2 * g, g), F(+1, -z, 2 * g, g + 1.0),
-                F(-1, z, 2 * g, g), F(-1, z, 2 * g, g + 1.0),
-                F(-1, -z, 2 * g, 2 * g), F(-1, -z, 2 * g, 1.0))
-        assert kink_product_spec(z, g).factors == kink
+        kink = (z + 2 * g, z + 1.0, -z + g, -z + (g + 1.0),
+                z + g, z + (g + 1.0), -z + 2 * g, -z + 1.0)
+        assert parts(kink_product_spec(z, g)) == (signs, kink, 2 * g)
         u = g * st - m + g / 2.0
-        rep = (F(+1, z, 2 * g, u + g), F(+1, z, 2 * g, -u + g + 1.0),
-               F(+1, -z, 2 * g, u), F(+1, -z, 2 * g, -u + 2 * g + 1.0),
-               F(-1, z, 2 * g, u), F(-1, z, 2 * g, -u + 2 * g + 1.0),
-               F(-1, -z, 2 * g, u + g), F(-1, -z, 2 * g, -u + g + 1.0))
-        assert transmission_product_spec_repulsive(z, g, st, m).factors == rep
+        rep = (z + (u + g), z + (-u + g + 1.0),
+               -z + u, -z + (-u + 2 * g + 1.0),
+               z + u, z + (-u + 2 * g + 1.0),
+               -z + (u + g), -z + (-u + g + 1.0))
+        assert parts(transmission_product_spec_repulsive(z, g, st, m)) \
+            == (signs, rep, 2 * g)
         xi = st + 0.5 + g / 2.0
         x = xi - m * (g + 1.0)
-        att = (F(+1, z, 2 * g, -x + 2 * g + 0.5), F(+1, z, 2 * g, x + 0.5),
-               F(+1, -z, 2 * g, -x + g + 0.5), F(+1, -z, 2 * g, x + g + 0.5),
-               F(-1, z, 2 * g, -x + g + 0.5), F(-1, z, 2 * g, x + g + 0.5),
-               F(-1, -z, 2 * g, -x + 2 * g + 0.5), F(-1, -z, 2 * g, x + 0.5))
-        assert transmission_product_spec_attractive(z, g, xi, m).factors \
-            == att
+        att = (z + (-x + 2 * g + 0.5), z + (x + 0.5),
+               -z + (-x + g + 0.5), -z + (x + g + 0.5),
+               z + (-x + g + 0.5), z + (x + g + 0.5),
+               -z + (-x + 2 * g + 0.5), -z + (x + 0.5))
+        assert parts(transmission_product_spec_attractive(z, g, xi, m)) \
+            == (signs, att, 2 * g)
 
 
 def test_shifted_spin_rep_not_realizable_outside_window():
@@ -402,8 +405,8 @@ def _reference_product(spec, tol=1e-12):
         K *= 2
     k = np.arange(K)
     total = 0.0 + 0.0j
-    for f in spec.factors:
-        total = total + f.sign * log_gamma(f.argument(k))
+    for s, d in zip(spec.signs, spec.offsets):
+        total = total + s * log_gamma(d + b * k)
     log_sum = complex(np.sum(total))
     if spec.renormalized:
         log_sum -= spec.renorm_coefficient() * float(sp.digamma(K))

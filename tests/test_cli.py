@@ -431,6 +431,33 @@ def test_tol_must_be_finite_and_nonnegative(capsys, argv, tol):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "rll"], "--spin"),
+    (["verify", "ybe", "--model", "xxz"], "--mu"),
+    (["amp", "kink"], "--lambda"),
+    (["amp", "kink", "--lambda", "0.3", "--model", "xxz"], "--mu"),
+    (["amp", "transmission", "--lambda", "0.3"], "--spin"),
+    (["amp", "transmission", "--lambda", "0.3"], "--theta"),
+    (["chain", "diagonalize", "--N", "2"], "--spin"),
+    (["chain", "diagonalize", "--N", "2"], "--theta"),
+    (["chain", "bae", "--N", "2", "--model", "xxz"], "--mu"),
+    (["identity", "use1", "--model", "xxz"], "--mu"),
+])
+def test_float_options_must_be_finite(capsys, argv, option, value):
+    err = usage_error(capsys, [*argv, f"{option}={value}"])
+    assert f"{option}: must be finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("sweep", ["{}:1:3", "0:{}:3"])
+def test_sweep_endpoints_must_be_finite(capsys, sweep, value):
+    code, out, err = run_cli(capsys, [
+        "amp", "kink", f"--sweep={sweep.format(value)}"])
+    assert (code, out) == (2, "")
+    assert "finite endpoints" in json.loads(err)["error"]
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from defectbethe.amplitudes import (
 from defectbethe.errors import NonConvergence, PoleError
 from defectbethe.special_functions import (
     AmplitudeValue,
-    GammaFactor,
     GammaProductSpec,
     fourier_log_integral,
     fourier_sine_integral,
@@ -99,74 +98,71 @@ def test_amplitude_value_rejects_nonfinite():
 
 def test_spec_rejects_unbalanced_signs():
     with pytest.raises(ValueError, match="unbalanced signs"):
-        GammaProductSpec(factors=(
-            GammaFactor(sign=+1, a=0.5, b=1.0),
-            GammaFactor(sign=+1, a=1.5, b=1.0),
-        ))
+        GammaProductSpec(signs=(+1, +1), offsets=(0.5, 1.5), step=1.0)
 
 
 def test_spec_rejects_first_moment_mismatch():
     with pytest.raises(ValueError, match="first moment"):
-        GammaProductSpec(factors=(
-            GammaFactor(sign=+1, a=0.5, b=1.0),
-            GammaFactor(sign=-1, a=0.9, b=1.0),
-        ))
+        GammaProductSpec(signs=(+1, -1), offsets=(0.5, 0.9), step=1.0)
 
 
 def test_spec_requires_renormalized_flag_for_second_moment():
     # m0 = m1 = 0 but m2 = 2 (a - s)^2 != 0
-    factors = (
-        GammaFactor(sign=+1, a=0.4, b=1.0),
-        GammaFactor(sign=+1, a=1.4, b=1.0),
-        GammaFactor(sign=-1, a=0.9, b=1.0),
-        GammaFactor(sign=-1, a=0.9, b=1.0),
-    )
+    ladder = dict(signs=(+1, +1, -1, -1), offsets=(0.4, 1.4, 0.9, 0.9),
+                  step=1.0)
     with pytest.raises(ValueError, match="renormalized"):
-        GammaProductSpec(factors=factors)
-    spec = GammaProductSpec(factors=factors, renormalized=True)
+        GammaProductSpec(**ladder)
+    spec = GammaProductSpec(**ladder, renormalized=True)
     assert abs(spec.renorm_coefficient() - 0.25) < 1e-12
 
 
 def test_spec_rejects_bad_sign_and_step():
     with pytest.raises(ValueError, match="sign"):
-        GammaProductSpec(factors=(GammaFactor(sign=2, a=0.5, b=1.0),))
+        GammaProductSpec(signs=(2,), offsets=(0.5,), step=1.0)
     with pytest.raises(ValueError, match="step"):
-        GammaProductSpec(factors=(GammaFactor(sign=1, a=0.5, b=-1.0),))
+        GammaProductSpec(signs=(1,), offsets=(0.5,), step=-1.0)
     with pytest.raises(ValueError, match="empty"):
-        GammaProductSpec(factors=())
+        GammaProductSpec(signs=(), offsets=(), step=1.0)
+    with pytest.raises(ValueError, match="shorter"):
+        GammaProductSpec(signs=(+1, -1), offsets=(0.5,), step=1.0)
 
 
-def test_spec_rejects_mixed_steps():
-    with pytest.raises(ValueError, match="one step"):
-        GammaProductSpec(factors=(
-            GammaFactor(sign=+1, a=0.5, b=1.0),
-            GammaFactor(sign=-1, a=0.5, b=2.0),
-        ))
+def _pole_spec(d):
+    """Renormalized (+, +, -, -) ladder of offsets (d, 1 - d, 1/2, 1/2),
+    step 1; its first argument d + k hits a pole for integer d <= 0."""
+    return GammaProductSpec(signs=(+1, +1, -1, -1),
+                            offsets=(d, 1.0 - d, 0.5, 0.5), step=1.0,
+                            renormalized=True)
 
 
 def test_gamma_product_pole_detection():
     # argument of the first factor hits -1 at k = 0 and 0 at k = 1
-    factors = (
-        GammaFactor(sign=+1, a=-1.0, b=1.0),
-        GammaFactor(sign=+1, a=2.0, b=1.0),
-        GammaFactor(sign=-1, a=0.5, b=1.0),
-        GammaFactor(sign=-1, a=0.5, b=1.0),
-    )
-    spec = GammaProductSpec(factors=factors, renormalized=True)
     with pytest.raises(PoleError):
-        gamma_product(spec)
+        gamma_product(_pole_spec(-1.0))
 
 
 def test_gamma_products_pole_in_grid():
     good = _ratio_spec(0.3, 1.1, 0.65, 0.75)
-    pole = GammaProductSpec(factors=(
-        GammaFactor(sign=+1, a=-1.0, b=1.0),
-        GammaFactor(sign=+1, a=2.0, b=1.0),
-        GammaFactor(sign=-1, a=0.5, b=1.0),
-        GammaFactor(sign=-1, a=0.5, b=1.0),
-    ), renormalized=True)
     with pytest.raises(PoleError):
-        gamma_products([good, good, pole, good])
+        gamma_products([good, good, _pole_spec(-1.0), good])
+
+
+@pytest.mark.parametrize("spec, K", [
+    # the renormalized ladder with its pole at k = 15; its tail settles
+    # on K = 2048
+    (_pole_spec(-15.0), 2048),
+    # every moment vanishes, so the tail accepts K = 64 at q = 16/64 = 1/4,
+    # the largest q it allows; the pole at k = 15 is still in the block
+    (GammaProductSpec(signs=(+1, -1, +1, -1),
+                      offsets=(-15.0, -15.0, 16.0, 16.0), step=1.0), 64),
+])
+def test_gamma_products_deep_pole(spec, K):
+    assert special_functions._choose_terms(spec)[0] == K
+    with pytest.raises(PoleError):
+        gamma_product(spec)
+    good = _ratio_spec(0.3, 1.1, 0.65, 0.75)
+    with pytest.raises(PoleError):
+        gamma_products([good, spec, good])
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +172,9 @@ def test_gamma_products_pole_in_grid():
 
 def _tail_table(spec, K):
     """The tail through k^-7 as six hand-expanded rows, and its trunc."""
-    b = spec.step
-    d = [f.a + f.c for f in spec.factors]
+    b, d = spec.step, spec.offsets
     m2, m3, m4, m5, m6, m7, m8 = (
-        sum(f.sign * x ** j for f, x in zip(spec.factors, d))
+        sum(s * x ** j for s, x in zip(spec.signs, d))
         for j in range(2, 9))
     s = {j: float(sp.zeta(j, K)) for j in range(2, 8)}
     tail = (m2 / 4.0 - m3 / 6.0) / b**2 * s[2]
@@ -219,16 +214,9 @@ def test_stirling_tail_matches_hand_expanded_table(K):
 
 def _ratio_spec(a, b, c, d):
     """prod_k (a+k)(b+k) / ((c+k)(d+k)) written through Gamma ratios."""
-    return GammaProductSpec(factors=(
-        GammaFactor(sign=+1, a=a, b=1.0, c=1.0),
-        GammaFactor(sign=-1, a=a, b=1.0, c=0.0),
-        GammaFactor(sign=+1, a=b, b=1.0, c=1.0),
-        GammaFactor(sign=-1, a=b, b=1.0, c=0.0),
-        GammaFactor(sign=+1, a=c, b=1.0, c=0.0),
-        GammaFactor(sign=-1, a=c, b=1.0, c=1.0),
-        GammaFactor(sign=+1, a=d, b=1.0, c=0.0),
-        GammaFactor(sign=-1, a=d, b=1.0, c=1.0),
-    ))
+    return GammaProductSpec(
+        signs=(+1, -1, +1, -1, +1, -1, +1, -1),
+        offsets=(a + 1.0, a, b + 1.0, b, c, c + 1.0, d, d + 1.0), step=1.0)
 
 
 def test_gamma_product_rational_ratio_closed_form():
@@ -245,17 +233,7 @@ def test_gamma_product_complex_arguments():
     # same telescoping identity, complex a
     a, b = 0.3 + 0.4j, 1.1 - 0.4j
     c, d = 0.65, 0.75
-    spec = GammaProductSpec(factors=(
-        GammaFactor(sign=+1, a=a, b=1.0, c=1.0),
-        GammaFactor(sign=-1, a=a, b=1.0, c=0.0),
-        GammaFactor(sign=+1, a=b, b=1.0, c=1.0),
-        GammaFactor(sign=-1, a=b, b=1.0, c=0.0),
-        GammaFactor(sign=+1, a=c, b=1.0, c=0.0),
-        GammaFactor(sign=-1, a=c, b=1.0, c=1.0),
-        GammaFactor(sign=+1, a=d, b=1.0, c=0.0),
-        GammaFactor(sign=-1, a=d, b=1.0, c=1.0),
-    ))
-    out = gamma_product(spec)
+    out = gamma_product(_ratio_spec(a, b, c, d))
     expected = sp.gamma(c) * sp.gamma(d) / (sp.gamma(a) * sp.gamma(b))
     assert abs(out.value - expected) < 1e-10
 
@@ -268,13 +246,9 @@ def test_gamma_product_renormalized_vs_brute_force():
     leftover 1/K drift.  Agreement to 1e-8 on independent routes.
     """
     a, s = 0.4, 0.9
-    factors = (
-        GammaFactor(sign=+1, a=a, b=1.0),
-        GammaFactor(sign=+1, a=2 * s - a, b=1.0),
-        GammaFactor(sign=-1, a=s, b=1.0),
-        GammaFactor(sign=-1, a=s, b=1.0),
-    )
-    spec = GammaProductSpec(factors=factors, renormalized=True)
+    spec = GammaProductSpec(signs=(+1, +1, -1, -1),
+                            offsets=(a, 2 * s - a, s, s), step=1.0,
+                            renormalized=True)
     c1 = spec.renorm_coefficient()
     assert abs(c1 - (a - s) ** 2) < 1e-12
 

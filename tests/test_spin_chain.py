@@ -110,6 +110,22 @@ def test_dimension_cap_holds_beyond_int64(xxx):
         chain.check_cap()
 
 
+@pytest.mark.parametrize("build", ["hamiltonian", "sector_blocks",
+                                   "monodromy"])
+def test_dimension_cap_checked_before_defect_rep(monkeypatch, xxx, build):
+    # spin 40 is an 81-dimensional representation; the cap must refuse
+    # the chain before any of it is built
+    calls = []
+    monkeypatch.setattr(spin_chain, "build_rep",
+                        lambda *args: calls.append(args) or build_rep(*args))
+    monkeypatch.setenv("DEFECTBETHE_MAX_DIM", "8")
+    chain = ChainSpec(N=2, defect_spin=40.0, params=xxx)
+    args = (0.3,) if build == "monodromy" else ()
+    with pytest.raises(DimensionCapExceeded):
+        getattr(spin_chain, build)(chain, *args)
+    assert calls == []
+
+
 def test_dimension_cap_counts_monodromy_accumulator(monkeypatch, xxx):
     # H is D x D; the monodromy carries the auxiliary space, so 2D x 2D
     chain = ChainSpec(N=2, defect_spin=1.0, params=xxx, theta=0.3)
