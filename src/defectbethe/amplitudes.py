@@ -113,21 +113,23 @@ def _sinh_ratio(a, b, w):
     return math.sinh(a * w / 2.0) / math.sinh(b * w / 2.0)
 
 
-def kernel_hat(name, w, params, order=None):
-    """Fourier transform of a named convolution kernel at real w.
+def kernel_hat(name, params, order=None):
+    """Fourier transform of a named convolution kernel as a function of real w.
 
     Registry: r_s and r_t in every regime, plus the breather-sector
     kernels r_b and t_b (attractive regime only).  `order` carries
-    y = 2S (for r_t, t_b); the window index is derived from it.
-    Outside-window or non-decaying combinations raise DomainError.
+    y = 2S (for r_t, t_b); the window index is derived from it.  Every
+    check runs here, before any w: an unknown name, a missing order, or
+    an outside-window or non-decaying combination raises DomainError.
     """
-    w = float(w)
     if params.is_rational:
         if name == "r_s":
-            return math.exp(-abs(w) / 2.0) / (2.0 * math.cosh(w / 2.0))
+            return lambda w: math.exp(-abs(w) / 2.0) \
+                / (2.0 * math.cosh(w / 2.0))
         if name == "r_t":
-            _need(order, name)
-            return math.exp(-(order - 1.0) * abs(w) / 2.0) \
+            if order is None:
+                raise DomainError(f"kernel {name!r} needs an order parameter")
+            return lambda w: math.exp(-(order - 1.0) * abs(w) / 2.0) \
                 / (2.0 * math.cosh(w / 2.0))
         raise DomainError(f"unknown rational kernel {name!r}")
 
@@ -135,45 +137,43 @@ def kernel_hat(name, w, params, order=None):
     regime = params.regime_name
     if name == "r_s":
         if regime == REPULSIVE:
-            return _sinh_ratio(nu - 2.0, nu - 1.0, w) \
+            return lambda w: _sinh_ratio(nu - 2.0, nu - 1.0, w) \
                 / (2.0 * math.cosh(w / 2.0))
-        return -_sinh_ratio(nu - 2.0, 1.0, w) \
+        return lambda w: -_sinh_ratio(nu - 2.0, 1.0, w) \
             / (2.0 * math.cosh((nu - 1.0) * w / 2.0))
     if name == "r_t":
-        _need(order, name)
+        if order is None:
+            raise DomainError(f"kernel {name!r} needs an order parameter")
         if regime == REPULSIVE:
             m = _window(order, 2.0 * nu)
-            return _sinh_ratio((2 * m + 1) * nu - order, nu - 1.0, w) \
-                / (2.0 * math.cosh(w / 2.0))
+            return lambda w: _sinh_ratio((2 * m + 1) * nu - order, nu - 1.0,
+                                         w) / (2.0 * math.cosh(w / 2.0))
         m = _window(order, nu)
         if m > 1:
             raise DomainError(
                 "attractive r_t integrand does not decay for m >= 2; "
                 "only the product form exists there")
-        return _sinh_ratio(order - 2 * m * nu, 1.0, w) \
+        return lambda w: _sinh_ratio(order - 2 * m * nu, 1.0, w) \
             / (2.0 * math.cosh((nu - 1.0) * w / 2.0))
 
     if regime != ATTRACTIVE:
         raise DomainError(f"kernel {name!r} lives in the attractive regime")
-    if name == "r_b" and nu <= 2.0:
-        raise DomainError("r_b kernel does not decay for nu <= 2")
-    ch = math.cosh((nu - 1.0) * w / 2.0)
     if name == "r_b":
-        return -math.cosh((nu - 3.0) * w / 2.0) / ch
+        if nu <= 2.0:
+            raise DomainError("r_b kernel does not decay for nu <= 2")
+        return lambda w: -math.cosh((nu - 3.0) * w / 2.0) \
+            / math.cosh((nu - 1.0) * w / 2.0)
     if name == "t_b":
-        _need(order, name)
+        if order is None:
+            raise DomainError(f"kernel {name!r} needs an order parameter")
         if not 0.0 < order < nu:
             raise DomainError(f"t_b needs 0 < 2S < nu, got 2S = {order}")
         if order >= 2.0 * nu - 2.0:
             raise DomainError(f"t_b kernel does not decay for "
                               f"2S >= 2 nu - 2, got 2S = {order}")
-        return math.cosh((nu - order - 1.0) * w / 2.0) / ch
+        return lambda w: math.cosh((nu - order - 1.0) * w / 2.0) \
+            / math.cosh((nu - 1.0) * w / 2.0)
     raise DomainError(f"unknown trig kernel {name!r}")
-
-
-def _need(order, name):
-    if order is None:
-        raise DomainError(f"kernel {name!r} needs an order parameter")
 
 
 def _window(order, width):
@@ -213,13 +213,12 @@ def state_density(params, data, holes, lam, N):
     """
     eps, _ = hole_dispersion(params, lam)
     y = 2.0 * data.spin
+    r_s = kernel_hat("r_s", params)
     corr = 0.0
     for h in holes:
-        corr += inverse_fourier_even(
-            lambda w: kernel_hat("r_s", w, params), lam - h)[0]
-    corr += inverse_fourier_even(
-        lambda w: kernel_hat("r_t", w, params, order=y),
-        lam - data.rapidity)[0]
+        corr += inverse_fourier_even(r_s, lam - h)[0]
+    corr += inverse_fourier_even(kernel_hat("r_t", params, order=y),
+                                 lam - data.rapidity)[0]
     return float(eps + corr / N)
 
 
@@ -314,8 +313,7 @@ def _gamma_ratios(num1, num2, den1, den2):
 
 def kink_S_by_integral(params, lam):
     """Same amplitude through the log-integral over r_s."""
-    return fourier_log_integral(
-        lambda w: kernel_hat("r_s", w, params), lam)
+    return fourier_log_integral(kernel_hat("r_s", params), lam)
 
 
 def s_matrix(params, lam):
@@ -378,9 +376,7 @@ def transmission_by_integral(params, data, lam_hat):
     """Transmission eigenvalue through the log-integral over r_t."""
     _check_regime(params, data)
     y = 2.0 * data.spin
-    return fourier_log_integral(
-        lambda w: kernel_hat("r_t", w, params, order=y),
-        lam_hat)
+    return fourier_log_integral(kernel_hat("r_t", params, order=y), lam_hat)
 
 
 def transmission_eigenvalue_ratio(data, lam_hat):
@@ -608,17 +604,15 @@ def breather_S_by_integral(params, lam):
     to evaluating the integral at -lam and negating, which is the form
     used here.
     """
-    val = fourier_log_integral(
-        lambda w: kernel_hat("r_b", w, params), -_real_arg(lam))
+    val = fourier_log_integral(kernel_hat("r_b", params), -_real_arg(lam))
     return AmplitudeValue(-val.value, err=val.err, terms_used=val.terms_used)
 
 
 def breather_T_by_integral(params, data, lam_hat):
     """Lightest-breather transmission via the log-integral over t_b."""
     y = 2.0 * data.spin
-    val = fourier_log_integral(
-        lambda w: kernel_hat("t_b", w, params, order=y),
-        -_real_arg(lam_hat))
+    val = fourier_log_integral(kernel_hat("t_b", params, order=y),
+                               -_real_arg(lam_hat))
     return AmplitudeValue(-val.value, err=val.err, terms_used=val.terms_used)
 
 

@@ -448,15 +448,25 @@ def _cmd_identity(args, emitter):
 # parser plumbing
 # ---------------------------------------------------------------------------
 
+def _parse_number(kind, text):
+    """kind(text), with plain argparse's message for text that is no number
+    (argparse would name the type function instead of the type)."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind.__name__} value: {text!r}") from None
+
+
 def _positive_int(text):
-    value = int(text)
+    value = _parse_number(int, text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 def _finite_float(text):
-    value = float(text)
+    value = _parse_number(float, text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value

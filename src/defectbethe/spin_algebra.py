@@ -9,17 +9,33 @@ defect eigenvalue checks.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NotScalarError, RootOfUnityError
+from .errors import (DimensionCapExceeded, DomainError, NotScalarError,
+                     RootOfUnityError)
 
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
 
 REPULSIVE = "repulsive"
 ATTRACTIVE = "attractive"
+
+_DEFAULT_MAX_DIM = 2 ** 14
+
+
+def dimension_cap():
+    """Largest chain Hilbert space or spin representation allowed; override
+    with env var DEFECTBETHE_MAX_DIM."""
+    raw = os.environ.get("DEFECTBETHE_MAX_DIM")
+    if raw is None:
+        return _DEFAULT_MAX_DIM
+    cap = int(raw)
+    if cap < 2:
+        raise ValueError("DEFECTBETHE_MAX_DIM must be >= 2")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -134,9 +150,15 @@ def build_rep(S, params):
     integer by its q-number.  Near a root of unity some q-number product
     turns nonpositive and the square root is ill-defined; that raises
     RootOfUnityError rather than producing a broken representation.
+    Raises DimensionCapExceeded, before allocating, when 2S+1 exceeds
+    dimension_cap().
     """
     _check_half_integer(S)
     n = int(round(2 * S + 1))
+    cap = dimension_cap()
+    if n > cap:
+        raise DimensionCapExceeded(
+            f"spin-{S} representation dimension {n} exceeds cap {cap}")
     alphas = np.array([(n + 1 - 2 * k) / 2.0 for k in range(1, n + 1)])
     Sz = np.diag(alphas).astype(complex)
 

@@ -9,7 +9,6 @@ front of everything (slot 0).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,25 +18,12 @@ from .errors import (DimensionCapExceeded, DomainError, NonConvergence,
 from .lax_operators import (apply_local, d_defect_lax, d_r_matrix,
                             defect_lax, permutation_matrix, r_matrix,
                             regularity_scale, two_site_operator)
-from .spin_algebra import build_rep
-
-_DEFAULT_MAX_DIM = 2 ** 14
+from .spin_algebra import build_rep, dimension_cap
 
 # solve_bae accepts a root set once max|P_i - 1| <= _BAE_TOL and gives up
 # after _MAX_NEWTON Newton steps.
 _BAE_TOL = 1e-12
 _MAX_NEWTON = 100
-
-
-def dimension_cap():
-    """Hilbert-space size limit; override with env var DEFECTBETHE_MAX_DIM."""
-    raw = os.environ.get("DEFECTBETHE_MAX_DIM")
-    if raw is None:
-        return _DEFAULT_MAX_DIM
-    cap = int(raw)
-    if cap < 2:
-        raise ValueError("DEFECTBETHE_MAX_DIM must be >= 2")
-    return cap
 
 
 @dataclass(frozen=True)

@@ -132,18 +132,25 @@ def test_elementary_ratio(xxx, trig):
 
 
 def test_kernel_registry_guards(xxx, repulsive4, attractive4):
-    with pytest.raises(DomainError):
-        kernel_hat("nope", 0.3, xxx)
-    with pytest.raises(DomainError):
-        kernel_hat("r_t", 0.3, xxx)  # needs an order
-    with pytest.raises(DomainError):
-        kernel_hat("r_b", 0.3, repulsive4)  # attractive-only kernel
+    # every guard fires when the kernel is built, before any w
+    with pytest.raises(DomainError, match="unknown rational kernel 'nope'"):
+        kernel_hat("nope", xxx)
+    with pytest.raises(DomainError, match="'r_t' needs an order parameter"):
+        kernel_hat("r_t", xxx)
+    with pytest.raises(DomainError, match="'r_b' lives in the attractive"):
+        kernel_hat("r_b", repulsive4)
+    with pytest.raises(DomainError, match="regime not set"):
+        kernel_hat("r_s", ModelParameters.xxz(math.pi / 4.0))
     # attractive transmission kernel only decays on branches m <= 1
     att12 = ModelParameters.xxz(math.pi / 1.2, ATTRACTIVE)
-    with pytest.raises(DomainError):
-        kernel_hat("r_t", 0.3, att12, order=4.0)  # m = 3
-    with pytest.raises(DomainError):
-        kernel_hat("t_b", 0.3, attractive4, order=5.0)  # 2S outside (0, nu)
+    with pytest.raises(DomainError, match="does not decay for m >= 2"):
+        kernel_hat("r_t", att12, order=4.0)  # m = 3
+    with pytest.raises(DomainError, match="sits on or outside windows"):
+        kernel_hat("r_t", repulsive4, order=8.0)  # 2S = 2 nu
+    with pytest.raises(DomainError, match="t_b needs 0 < 2S < nu"):
+        kernel_hat("t_b", attractive4, order=5.0)
+    with pytest.raises(DomainError, match="unknown trig kernel 'nope'"):
+        kernel_hat("nope", attractive4)
 
 
 def test_breather_kernels_reject_non_decay(attractive4):
@@ -152,12 +159,12 @@ def test_breather_kernels_reject_non_decay(attractive4):
     for nu in (1.6, 2.0):
         params = ModelParameters.xxz(math.pi / nu, ATTRACTIVE)
         with pytest.raises(DomainError, match="does not decay"):
-            kernel_hat("r_b", 0.3, params)
+            kernel_hat("r_b", params)
     att16 = ModelParameters.xxz(math.pi / 1.6, ATTRACTIVE)
     with pytest.raises(DomainError, match="does not decay"):
-        kernel_hat("t_b", 0.3, att16, order=1.4)
-    assert abs(kernel_hat("t_b", 80.0, att16, order=1.0)) < 1e-3
-    assert abs(kernel_hat("r_b", 40.0, attractive4)) < 1e-12
+        kernel_hat("t_b", att16, order=1.4)
+    assert abs(kernel_hat("t_b", att16, order=1.0)(80.0)) < 1e-3
+    assert abs(kernel_hat("r_b", attractive4)(40.0)) < 1e-12
 
 
 def test_kernels_are_even(xxx, repulsive4, attractive4):
@@ -165,9 +172,22 @@ def test_kernels_are_even(xxx, repulsive4, attractive4):
              ("r_s", repulsive4, None), ("r_t", repulsive4, 2.0),
              ("r_b", attractive4, None), ("t_b", attractive4, 2.0)]
     for name, params, order in cases:
+        kernel = kernel_hat(name, params, order=order)
         for w in (0.37, 1.9):
-            assert abs(kernel_hat(name, w, params, order=order)
-                       - kernel_hat(name, -w, params, order=order)) < 1e-14
+            assert abs(kernel(w) - kernel(-w)) < 1e-14
+
+
+def test_sinh_ratio_kernels_at_removable_point(repulsive4, attractive4):
+    # nu = 4: below |w| = 1e-12 the sinh ratios take their closed w -> 0
+    # limit, and just above it they must already agree with it
+    cases = [(kernel_hat("r_s", repulsive4), 2.0 / 3.0 / 2.0),
+             (kernel_hat("r_t", repulsive4, order=9.0), 3.0 / 3.0 / 2.0),
+             (kernel_hat("r_s", attractive4), -2.0 / 2.0),
+             (kernel_hat("r_t", attractive4, order=5.0), -3.0 / 2.0)]
+    for kernel, limit in cases:
+        assert kernel(0.0) == pytest.approx(limit, rel=1e-15)
+        for w in (1e-9, 1e-10, 1e-11, 1e-12, -1e-12):
+            assert kernel(w) == pytest.approx(limit, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,25 @@ def test_chain_bae_ignores_dimension_cap(capsys):
     assert all(r["params"]["passed"] for r in json_lines(out))
 
 
+@pytest.mark.parametrize("check", ["rll", "casimir", "defect-spectrum"])
+def test_verify_respects_dimension_cap(capsys, monkeypatch, check):
+    # spin 50 is a 101-dimensional representation, refused before it is built
+    monkeypatch.setenv("DEFECTBETHE_MAX_DIM", "8")
+    code, out, err = run_cli(capsys, [
+        "verify", check, "--spin", "50", "--samples", "1"])
+    assert (code, out) == (2, "")
+    assert "exceeds cap 8" in json.loads(err)["error"]
+
+
+def test_verify_huge_spin_refused_before_allocating(capsys, monkeypatch):
+    # 2S+1 = 2e300 is finite and half-integral; only the cap stops it
+    monkeypatch.delenv("DEFECTBETHE_MAX_DIM", raising=False)
+    code, out, err = run_cli(capsys, [
+        "verify", "rll", "--spin", "1e300", "--samples", "1"])
+    assert (code, out) == (2, "")
+    assert "exceeds cap 16384" in json.loads(err)["error"]
+
+
 # ---------------------------------------------------------------------------
 # identity
 # ---------------------------------------------------------------------------
@@ -447,6 +466,18 @@ def test_tol_must_be_finite_and_nonnegative(capsys, argv, tol):
 def test_float_options_must_be_finite(capsys, argv, option, value):
     err = usage_error(capsys, [*argv, f"{option}={value}"])
     assert f"{option}: must be finite" in err
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["amp", "kink", "--lambda", "abc"], "float"),
+    (["verify", "ybe", "--tol", "abc"], "float"),
+    (["verify", "ybe", "--samples", "abc"], "int"),
+])
+def test_non_numeric_option_names_its_type(capsys, argv, kind):
+    # plain argparse's message, not the name of the parsing function
+    err = usage_error(capsys, argv)
+    assert f"invalid {kind} value: 'abc'" in err
+    assert "_finite" not in err and "_positive" not in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectbethe.errors import DomainError, RootOfUnityError
+from defectbethe.errors import (DimensionCapExceeded, DomainError,
+                                RootOfUnityError)
 from defectbethe.spin_algebra import (
     ATTRACTIVE,
     REPULSIVE,
@@ -145,6 +146,15 @@ def test_build_rep_rejects_bad_spin(xxx):
         build_rep(0.3, xxx)
     with pytest.raises(ValueError):
         build_rep(-1.0, xxx)
+
+
+def test_build_rep_respects_dimension_cap(monkeypatch, xxx, trig):
+    monkeypatch.setenv("DEFECTBETHE_MAX_DIM", "8")
+    assert build_rep(3.5, xxx).dim == 8
+    for params in (xxx, trig):
+        with pytest.raises(DimensionCapExceeded,
+                           match="dimension 9 exceeds cap 8"):
+            build_rep(4.0, params)
 
 
 def test_root_of_unity_degeneration():
