@@ -53,7 +53,6 @@ class DefectRegimeData:
     """Derived constants attached to one defect in one coupling regime.
 
     spin            -- defect spin S
-    rapidity        -- defect rapidity
     regime          -- 'rational' | 'repulsive' | 'attractive'
     gamma           -- renormalized coupling of the regime
     branch_index    -- periodicity window index m (0 in the rational case)
@@ -68,7 +67,6 @@ class DefectRegimeData:
     """
 
     spin: float
-    rapidity: float
     regime: str
     gamma: float
     branch_index: int
@@ -78,24 +76,24 @@ class DefectRegimeData:
     rapidity_offset: float = 0.0
 
     @classmethod
-    def from_params(cls, params, spin, rapidity=0.0, rapidity_offset=0.0):
+    def from_params(cls, params, spin, rapidity_offset=0.0):
         if spin <= 0:
             raise DomainError("defect spin must be positive")
         if params.is_rational:
-            return cls(spin=spin, rapidity=rapidity, regime="rational",
+            return cls(spin=spin, regime="rational",
                        gamma=0.0, branch_index=0, shifted_spin=spin - 0.5,
                        rapidity_offset=rapidity_offset)
         m = branch_index(params, spin)
         g = params.gamma
         if params.regime_name == REPULSIVE:
-            return cls(spin=spin, rapidity=rapidity, regime=REPULSIVE,
+            return cls(spin=spin, regime=REPULSIVE,
                        gamma=g, branch_index=m, shifted_spin=spin - m - 0.5,
                        rapidity_offset=rapidity_offset)
         xi = spin + g / 2.0
         lam_off = rapidity_offset
         eta = (1j * math.pi * (lam_off + xi) / g,
                1j * math.pi * (lam_off - xi) / g)
-        return cls(spin=spin, rapidity=rapidity, regime=ATTRACTIVE,
+        return cls(spin=spin, regime=ATTRACTIVE,
                    gamma=g, branch_index=m, shifted_spin=float(m),
                    coupling=xi, breather_shifts=eta,
                    rapidity_offset=rapidity_offset)
@@ -205,8 +203,9 @@ def hole_dispersion(params, lam):
     return eps, p
 
 
-def state_density(params, data, holes, lam, N):
-    """Finite-size density sigma0 + (1/N)(sum r_s(lam-hole) + r_t(lam-Th)).
+def state_density(params, data, theta, holes, lam, N):
+    """Finite-size density sigma0 + (1/N)(sum r_s(lam-hole) + r_t(lam-theta))
+    with the defect at rapidity theta.
 
     The correction kernels are inverse-transformed by quadrature; only
     sigma0 uses its closed form.
@@ -218,7 +217,7 @@ def state_density(params, data, holes, lam, N):
     for h in holes:
         corr += inverse_fourier_even(r_s, lam - h)[0]
     corr += inverse_fourier_even(kernel_hat("r_t", params, order=y),
-                                 lam - data.rapidity)[0]
+                                 lam - theta)[0]
     return float(eps + corr / N)
 
 
@@ -393,17 +392,14 @@ def transmission_matrix(params, data, rep, lam_hat):
 
     Rational and repulsive regimes produce a concrete matrix; the rep
     must carry spin S~ and, in the repulsive case, the renormalized
-    deformation pi*gamma.  The attractive matrix lives on an
-    infinite-dimensional representation and raises NotRealizable; its
-    symbolic 2x2 template is attractive_transmission_template.
+    deformation pi*gamma.  The attractive matrix needs an
+    infinite-dimensional representation and raises NotRealizable.
     """
     _check_regime(params, data)
     if data.regime == ATTRACTIVE:
         raise NotRealizable(
-            "attractive transmission matrix needs the infinite-"
-            "dimensional shifted-spin-0 representation; "
-            "attractive_transmission_template(data) gives its "
-            "structural template")
+            "attractive transmission matrix needs an infinite-"
+            "dimensional representation")
     if rep is None or not isinstance(rep, SpinRepresentation):
         raise RepMismatch("a shifted-spin representation is required")
     if abs(rep.spin - data.shifted_spin) > 1e-12:
@@ -438,31 +434,6 @@ def transmission_blocks(rep, lam):
     family = ModelParameters.xxx() if rep.deformation is None \
         else ModelParameters.xxz(rep.deformation)
     return -1j * defect_lax(family, rep, -complex(lam))
-
-
-def attractive_transmission_template(data):
-    """Structural 2x2 template of the attractive transmission matrix.
-
-    The diagonal entries involve sin(pi*gamma*(iu + 1/2 - (S+1/2)/gamma)),
-    which collapses to +-sin or +-cos of pi*gamma*(iu + 1/2) according to
-    whether S + 1/2 is an integer or a half-integer; the collapsed branch
-    is recorded so downstream consumers need not redo the case split.
-    """
-    two_sp1 = data.spin + 0.5
-    if abs(two_sp1 - round(two_sp1)) < 1e-12:
-        p = int(round(two_sp1))
-        branch = ("sin", (-1) ** p)
-    else:
-        p = int(round(two_sp1 - 0.5))
-        branch = ("cos", (-1) ** (p + 1))
-    return {
-        "prefactor": "T(u)/sin(pi*gamma*(i*u + 1/2))",
-        "entries": [["sin(pi*gamma*(i*u + Sz + 1/2))", "sin(pi*gamma)*Sminus"],
-                    ["sin(pi*gamma)*Splus", "sin(pi*gamma*(i*u - Sz + 1/2))"]],
-        "representation": "shifted spin 0, infinite dimensional",
-        "reduction_branch": {"function": branch[0], "sign": branch[1]},
-        "gamma": data.gamma,
-    }
 
 
 def shifted_spin_rep(params, data):

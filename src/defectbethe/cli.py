@@ -138,10 +138,6 @@ def _rep_spin_list(args, params, base):
 # verify
 # ---------------------------------------------------------------------------
 
-def _regime_data(params, spin, theta=0.0):
-    return amp.DefectRegimeData.from_params(params, spin, rapidity=theta)
-
-
 def _cmd_verify(args, emitter):
     params = _model(args)
     rng = np.random.default_rng(args.seed)
@@ -175,7 +171,7 @@ def _cmd_verify(args, emitter):
         tol = _tolerance(args, 1e-10)
         default = [1.0, 1.5] if params.is_rational else [1.0]
         for spin in _spin_list(args, default):
-            data = _regime_data(params, spin)
+            data = amp.DefectRegimeData.from_params(params, spin)
             pairs = rng.uniform(-1.5, 1.5, size=(args.samples, 2))
             worst = max(checks.rtt_residual(params, data, l1, l2)
                         for l1, l2 in pairs)
@@ -189,7 +185,7 @@ def _cmd_verify(args, emitter):
         scalar_fn = checks.scalar_unitarity_residual \
             if args.what == "unitarity" else checks.scalar_crossing_residual
         for spin in _spin_list(args, [0.5, 1.0, 1.5]):
-            data = _regime_data(params, spin)
+            data = amp.DefectRegimeData.from_params(params, spin)
             worst = max(scalar_fn(params, data, x) for x in grid)
             realizable = data.shifted_spin >= 0.25
             if realizable:
@@ -238,7 +234,7 @@ def _product_route(args, params, data, grid):
     if args.kind == "transmission":
         return amp.transmission_amplitudes(params, data, grid - args.theta)
     if args.kind == "breather-s":
-        vals = [amp.breather_S(args.n1, args.n2, lam, data.gamma)
+        vals = [amp.breather_S(args.n1, args.n2, lam, params.gamma)
                 for lam in grid]
     else:
         e1, e2 = data.breather_shifts
@@ -268,25 +264,20 @@ def _integral_point(args, params, data, lam):
 
 
 def _cmd_amp(args, emitter):
-    if args.branch_m is not None and args.kind in ("kink", "breather-s"):
-        raise DefectBetheError(
-            f"--branch-m is a defect's branch index; amp {args.kind} has no "
-            "defect")
     params = _model(args)
     tol = _tolerance(args, 1e-8)
+    if args.kind.startswith("breather") and (
+            params.is_rational or params.regime != ATTRACTIVE):
+        raise DefectBetheError(
+            "breathers exist in the attractive trigonometric regime "
+            "only; pass --model xxz --regime attractive")
+    base = {"kind": args.kind, "model": args.model, "mu": args.mu,
+            "regime": args.regime, "spin": args.spin, "theta": args.theta,
+            "n1": args.n1, "n2": args.n2}
     data = None
-    if args.kind in ("transmission", "breather-t", "breather-s"):
-        if args.kind.startswith("breather") and (
-                params.is_rational or params.regime != ATTRACTIVE):
-            raise DefectBetheError(
-                "breathers exist in the attractive trigonometric regime "
-                "only; pass --model xxz --regime attractive")
-        data = _regime_data(params, args.spin, theta=args.theta)
-        if args.branch_m is not None and args.branch_m != data.branch_index:
-            raise DefectBetheError(
-                f"--branch-m {args.branch_m} contradicts the window for "
-                f"spin {args.spin}: the branch index there is "
-                f"{data.branch_index}")
+    if args.kind in ("transmission", "breather-t"):
+        data = amp.DefectRegimeData.from_params(params, args.spin)
+        base["branch_index"] = data.branch_index
 
     if args.sweep is not None:
         grid = _parse_sweep(args.sweep)
@@ -299,9 +290,6 @@ def _cmd_amp(args, emitter):
     if args.method in ("integral", "both"):
         integs = [_integral_point(args, params, data, lam) for lam in grid]
 
-    base = {"kind": args.kind, "model": args.model, "mu": args.mu,
-            "regime": args.regime, "spin": args.spin, "theta": args.theta,
-            "n1": args.n1, "n2": args.n2}
     failed = False
     for lam, prod, integ in zip(grid, prods, integs):
         gap = None
@@ -516,9 +504,6 @@ def build_parser():
     points.add_argument("--sweep", default=None, metavar="MIN:MAX:STEPS")
     p_amp.add_argument("--spin", type=_finite_float, default=0.5)
     p_amp.add_argument("--theta", type=_finite_float, default=0.0)
-    p_amp.add_argument("--branch-m", type=int, default=None,
-                       help="expected branch index of the defect "
-                            "(transmission, breather-t); checked, not forced")
     p_amp.add_argument("--n1", type=int, default=1)
     p_amp.add_argument("--n2", type=int, default=1)
     p_amp.add_argument("--method", choices=["product", "integral", "both"],

@@ -114,15 +114,14 @@ class SpinRepresentation:
     """
 
     spin: float
-    dim: int
     deformation: float | None
     Sz: np.ndarray = field(repr=False)
     Sp: np.ndarray = field(repr=False)
     Sm: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if self.dim != int(round(2 * self.spin + 1)):
-            raise ValueError("dim must equal 2S+1")
+    @property
+    def dim(self):
+        return int(round(2 * self.spin + 1))
 
 
 def q_number(x, mu):
@@ -137,10 +136,12 @@ def q_number(x, mu):
 
 def _check_half_integer(S):
     # S = 0 is allowed: the one-dimensional rep shows up as the shifted
-    # spin of a repulsive spin-1/2 defect.
+    # spin of a repulsive spin-1/2 defect.  A 2S that overflows to inf
+    # (or nan) is refused before round() can raise on it.
     two_s = 2.0 * S
-    if S < 0.0 or abs(two_s - round(two_s)) > 1e-12:
-        raise ValueError(f"S must be a non-negative half-integer, got {S}")
+    if not 0.0 <= two_s < math.inf or abs(two_s - round(two_s)) > 1e-12:
+        raise ValueError(
+            f"S must be a non-negative half-integer with 2S finite, got {S}")
 
 
 def build_rep(S, params):
@@ -181,7 +182,7 @@ def build_rep(S, params):
     for k in range(1, n):
         Sp[k - 1, k] = c[k - 1]
     Sm = Sp.T.copy()
-    return SpinRepresentation(spin=float(S), dim=n, deformation=deformation,
+    return SpinRepresentation(spin=float(S), deformation=deformation,
                               Sz=Sz, Sp=Sp, Sm=Sm)
 
 

@@ -1,8 +1,8 @@
-"""Defect spin chains: monodromy/transfer matrices, Hamiltonians, Bethe roots.
+"""Defect spin chains: transfer matrices, Hamiltonians, Bethe roots.
 
 A chain has N bulk spin-1/2 sites plus one spin-S defect site carrying its
 own rapidity, N+1 sites in total.  Site 1 is the first quantum Kronecker
-factor; the 2-dimensional auxiliary space used by the monodromy goes in
+factor; the 2-dimensional auxiliary space of the transfer matrix goes in
 front of everything (slot 0).
 """
 
@@ -18,7 +18,7 @@ from .errors import (DimensionCapExceeded, DomainError, NonConvergence,
 from .lax_operators import (apply_local, d_defect_lax, d_r_matrix,
                             defect_lax, permutation_matrix, r_matrix,
                             regularity_scale, two_site_operator)
-from .spin_algebra import build_rep, dimension_cap
+from .spin_algebra import _check_half_integer, build_rep, dimension_cap
 
 # solve_bae accepts a root set once max|P_i - 1| <= _BAE_TOL and gives up
 # after _MAX_NEWTON Newton steps.
@@ -32,7 +32,7 @@ class ChainSpec:
 
     N            -- number of bulk spin-1/2 sites
     defect_site  -- position n of the defect within 1..N+1
-    defect_spin  -- S of the defect site
+    defect_spin  -- S of the defect site, a non-negative half-integer
     theta        -- defect rapidity
     params       -- ModelParameters (family, anisotropy)
     """
@@ -50,6 +50,7 @@ class ChainSpec:
         if not (1 <= n <= self.N + 1):
             raise ValueError("defect_site must lie in 1..N+1")
         object.__setattr__(self, "defect_site", n)
+        _check_half_integer(self.defect_spin)
 
     @property
     def site_dims(self):
@@ -78,13 +79,14 @@ class ChainSpec:
 class BetheState:
     """Root content of one Bethe state: M magnon rapidities."""
 
-    M: int
     roots: tuple = ()
 
     def __post_init__(self):
-        if len(self.roots) != self.M:
-            raise ValueError("M must equal the number of roots")
         object.__setattr__(self, "roots", tuple(complex(r) for r in self.roots))
+
+    @property
+    def M(self):
+        return len(self.roots)
 
 
 def string_seed(center, length):
@@ -98,33 +100,30 @@ def string_seed(center, length):
 # ---------------------------------------------------------------------------
 
 
-def monodromy(chain, lam):
-    """Ordered product of site Lax matrices on aux x (site 1 .. site N+1).
+def transfer(chain, lam):
+    """Transfer matrix: the trace over the auxiliary slot of the ordered
+    product of site Lax matrices on aux x (site 1 .. site N+1).
 
     Site N+1 acts leftmost; the defect factor is evaluated at lam - theta.
-    Each factor is contracted into the (2D) x (2D) accumulator on its two
-    slots, so the cap is checked against 2D.
+    The factors are applied to one auxiliary column block (2D x D) at a
+    time and each block's diagonal part is kept, so the cap is checked
+    against 2D.
     """
-    dims = [2] + chain.site_dims
-    total = 2 * chain.hilbert_dim
-    chain.check_cap(total)
-    rep = chain.defect_rep()
-    out = np.eye(total, dtype=complex)
-    for k in range(1, chain.N + 2):
-        if k == chain.defect_site:
-            site = defect_lax(chain.params, rep, lam - chain.theta)
-        else:
-            site = r_matrix(chain.params, lam)
-        out = apply_local(site, dims, (0, k), out)
-    return out
-
-
-def transfer(chain, lam):
-    """Trace of the monodromy over the auxiliary slot."""
-    t_full = monodromy(chain, lam)
     d = chain.hilbert_dim
-    m = t_full.reshape(2, d, 2, d)
-    return m[0, :, 0, :] + m[1, :, 1, :]
+    chain.check_cap(2 * d)
+    dims = [2] + chain.site_dims
+    rep = chain.defect_rep()
+    sites = [defect_lax(chain.params, rep, lam - chain.theta)
+             if k == chain.defect_site else r_matrix(chain.params, lam)
+             for k in range(1, chain.N + 2)]
+    diagonal = []
+    for a in range(2):
+        block = np.eye(2 * d, d, k=-a * d, dtype=complex)
+        for k, site in enumerate(sites, start=1):
+            block = apply_local(site, dims, (0, k), block)
+        # a copy, so that the finished block itself is freed
+        diagonal.append(block[a * d:(a + 1) * d].copy())
+    return diagonal[0] + diagonal[1]
 
 
 def pseudovacuum(chain):
@@ -362,7 +361,7 @@ def solve_bae(chain, M, seeds=None):
                     raise SingularJacobian(
                         "roots coalesced; the configuration solves the "
                         "product form but the Bethe vector vanishes")
-            return BetheState(M=M, roots=tuple(np.sort_complex(roots)))
+            return BetheState(roots=tuple(np.sort_complex(roots)))
         jac = np.zeros((M, M), dtype=complex)
         for i in range(M):
             diag = _ratio_logderiv(params, y, roots[i] - chain.theta) \

@@ -17,7 +17,6 @@ import scipy.special as sp
 from defectbethe import special_functions
 from defectbethe.amplitudes import (
     DefectRegimeData,
-    attractive_transmission_template,
     branch_index,
     breather_S,
     breather_S_by_integral,
@@ -75,7 +74,7 @@ REP16 = ModelParameters.xxz(math.pi / 1.6, REPULSIVE)    # nu = 1.6, gamma = 5/3
 
 
 def test_regime_data_rational(xxx):
-    data = DefectRegimeData.from_params(xxx, 1.5, rapidity=0.4)
+    data = DefectRegimeData.from_params(xxx, 1.5)
     assert data.regime == "rational"
     assert data.shifted_spin == 1.0
     assert data.branch_index == 0
@@ -208,11 +207,11 @@ def test_hole_dispersion_density_relation(xxx, repulsive4, attractive4, lam):
 
 
 def test_state_density_finite_size_scaling(xxx):
-    data = DefectRegimeData.from_params(xxx, 1.0, rapidity=0.3)
+    data = DefectRegimeData.from_params(xxx, 1.0)
     lam = 0.7
     eps, _ = hole_dispersion(xxx, lam)
-    d1 = state_density(xxx, data, holes=[0.1], lam=lam, N=64)
-    d2 = state_density(xxx, data, holes=[0.1], lam=lam, N=128)
+    d1 = state_density(xxx, data, 0.3, holes=[0.1], lam=lam, N=64)
+    d2 = state_density(xxx, data, 0.3, holes=[0.1], lam=lam, N=128)
     assert abs(d2 - eps) < abs(d1 - eps)
     assert abs((d1 - eps) / (d2 - eps) - 2.0) < 1e-6  # strict 1/N correction
 
@@ -396,17 +395,10 @@ def test_shifted_spin_rep_not_realizable_outside_window():
 
 def test_attractive_matrix_not_realizable(attractive4):
     data = DefectRegimeData.from_params(attractive4, 1.0)
-    with pytest.raises(NotRealizable,
-                       match="attractive_transmission_template"):
+    with pytest.raises(NotRealizable, match="infinite-dimensional"):
         transmission_matrix(attractive4, data, None, 0.4)
     with pytest.raises(NotRealizable):
         shifted_spin_rep(attractive4, data)
-    tpl = attractive_transmission_template(data)
-    # S + 1/2 = 3/2 half-odd: collapses onto the cos branch
-    assert tpl["reduction_branch"]["function"] == "cos"
-    half = DefectRegimeData.from_params(attractive4, 0.5)
-    tpl = attractive_transmission_template(half)
-    assert tpl["reduction_branch"] == {"function": "sin", "sign": -1}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from defectbethe.cli import build_parser, main
+from defectbethe import spin_chain
+from defectbethe.amplitudes import DefectRegimeData
+from defectbethe.cli import _model, build_parser, main
 
 ROOT_3SITE = 1.0 / (2.0 * math.sqrt(3.0))
 
@@ -260,25 +262,50 @@ def test_amp_breather_t_runs(capsys):
     assert recs[0]["product_integral_gap"] <= 1e-8
 
 
-def test_amp_branch_m_mismatch(capsys):
-    code, _, err = run_cli(capsys, [
-        "amp", "transmission", "--model", "xxz", "--mu", str(math.pi / 4),
-        "--regime", "repulsive", "--spin", "1", "--lambda", "0.4",
-        "--branch-m", "1"])
-    assert code == 2
-    assert "branch" in err
+@pytest.mark.parametrize("argv", [
+    ["transmission", "--model", "xxz", "--mu", repr(math.pi / 1.6),
+     "--regime", "repulsive", "--spin", "2"],
+    ["transmission", "--model", "xxz", "--mu", repr(math.pi / 4),
+     "--regime", "attractive", "--spin", "1"],
+    ["breather-t", "--model", "xxz", "--mu", repr(math.pi / 4),
+     "--regime", "attractive", "--spin", "1"]])
+def test_amp_defect_records_carry_branch_index(capsys, argv):
+    code, out, _ = run_cli(capsys, ["amp", *argv, "--lambda", "0.4",
+                                    "--method", "both"])
+    assert code == 0
+    args = build_parser().parse_args(["amp", *argv, "--lambda", "0.4"])
+    data = DefectRegimeData.from_params(_model(args), args.spin)
+    assert {r["params"]["branch_index"] for r in json_lines(out)} \
+        == {data.branch_index}
 
 
-@pytest.mark.parametrize("kind", [
+@pytest.mark.parametrize("argv", [
     ["kink"],
-    ["breather-s", "--model", "xxz", "--mu", str(math.pi / 4),
-     "--regime", "attractive", "--spin", "2.5"]])
-def test_amp_branch_m_without_defect_rejected(capsys, kind):
-    # kink and breather-s involve no defect, so no branch to check
-    code, out, err = run_cli(capsys, [
-        "amp", *kind, "--lambda", "0.3", "--branch-m", "1"])
-    assert code == 2 and out == ""
-    assert "--branch-m" in json.loads(err)["error"]
+    ["breather-s", "--model", "xxz", "--mu", repr(math.pi / 4),
+     "--regime", "attractive"]])
+def test_amp_defectless_records_have_no_branch_index(capsys, argv):
+    code, out, _ = run_cli(capsys, ["amp", *argv, "--lambda", "0.3"])
+    assert code == 0
+    assert all("branch_index" not in r["params"] for r in json_lines(out))
+
+
+def test_amp_breather_s_ignores_spin(capsys):
+    # 2S = 4 sits on the edge of the nu = 4 windows, but breather-breather
+    # scattering involves no defect, so --spin plays no part
+    argv = ["amp", "breather-s", "--model", "xxz", "--mu",
+            repr(math.pi / 4), "--regime", "attractive", "--lambda", "0.3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    code, out_spin, _ = run_cli(capsys, [*argv, "--spin", "2"])
+    assert code == 0
+    (rec,), (rec_spin,) = json_lines(out), json_lines(out_spin)
+    assert (rec_spin["re"], rec_spin["im"]) == (rec["re"], rec["im"])
+
+
+def test_branch_m_flag_rejected(capsys):
+    err = usage_error(capsys, ["amp", "transmission", "--lambda", "0.4",
+                               "--branch-m", "0"])
+    assert "--branch-m" in err
 
 
 def test_amp_needs_lambda_or_sweep(capsys):
@@ -401,6 +428,21 @@ def test_verify_huge_spin_refused_before_allocating(capsys, monkeypatch):
         "verify", "rll", "--spin", "1e300", "--samples", "1"])
     assert (code, out) == (2, "")
     assert "exceeds cap 16384" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rll", "--spin", "1e308", "--samples", "1"],
+    ["chain", "diagonalize", "--N", "2", "--spin", "1e308"],
+    ["chain", "bae", "--N", "3", "--spin", "0.7"],
+    ["chain", "diagonalize", "--N", "3", "--spin", "0.7"]])
+def test_bad_spin_refused_before_any_rep(capsys, monkeypatch, argv):
+    # 2S = 2e308 overflows to inf and 0.7 is no half-integer; the chain
+    # refuses its defect spin when it is specified, so bae refuses it too
+    calls = []
+    monkeypatch.setattr(spin_chain, "build_rep", lambda *a: calls.append(a))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, calls) == (2, "", [])
+    assert "half-integer" in json.loads(err)["error"]
 
 
 # ---------------------------------------------------------------------------

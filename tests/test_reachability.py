@@ -25,8 +25,6 @@ ALLOWED = {
     "state_density": "item 6: checked against z'/N of finite-N roots",
     "hole_dispersion": "item 6: the p(lambda) of the transmission phase",
     "pseudovacuum": "item 2: the vacuum energy of the energy route",
-    "attractive_transmission_template": "item 8: named by the attractive "
-                                        "NotRealizable of transmission_matrix",
 }
 
 

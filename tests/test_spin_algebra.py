@@ -164,8 +164,11 @@ def test_root_of_unity_degeneration():
 
 
 def test_spin_representation_dim_consistency(xxx):
-    rep = build_rep(0.5, xxx)
-    with pytest.raises(ValueError):
+    # dim is derived from the spin, so it cannot disagree with it
+    for S in (0.0, 0.5, 1.0, 2.5):
+        rep = build_rep(S, xxx)
+        assert rep.dim == int(2 * S) + 1 == rep.Sz.shape[0]
+    with pytest.raises(TypeError):
         SpinRepresentation(spin=0.5, dim=3, deformation=None,
                            Sz=rep.Sz, Sp=rep.Sp, Sm=rep.Sm)
 

@@ -36,7 +36,6 @@ from defectbethe.spin_chain import (
     bae_residual,
     hamiltonian,
     hermiticity_residual,
-    monodromy,
     pseudovacuum,
     solve_bae,
     sector_blocks,
@@ -81,6 +80,9 @@ def test_chain_spec_validation(xxx):
         ChainSpec(N=2, defect_spin=0.5, params=xxx, defect_site=4)
     with pytest.raises(ValueError):
         ChainSpec(N=2, defect_spin=0.5, params=xxx, defect_site=0)
+    for spin in (0.7, -0.5, 1e308, math.nan):
+        with pytest.raises(ValueError, match="half-integer"):
+            ChainSpec(N=2, defect_spin=spin, params=xxx)
 
 
 def test_chain_spec_defaults(xxx):
@@ -96,7 +98,7 @@ def test_dimension_cap(monkeypatch, xxx):
     with pytest.raises(DimensionCapExceeded):
         chain.check_cap()
     with pytest.raises(DimensionCapExceeded):
-        monodromy(chain, 0.3)
+        transfer(chain, 0.3)
     monkeypatch.setenv("DEFECTBETHE_MAX_DIM", "1")
     with pytest.raises(ValueError):
         chain.check_cap()
@@ -111,7 +113,7 @@ def test_dimension_cap_holds_beyond_int64(xxx):
 
 
 @pytest.mark.parametrize("build", ["hamiltonian", "sector_blocks",
-                                   "monodromy"])
+                                   "transfer"])
 def test_dimension_cap_checked_before_defect_rep(monkeypatch, xxx, build):
     # spin 40 is an 81-dimensional representation; the cap must refuse
     # the chain before any of it is built
@@ -120,30 +122,34 @@ def test_dimension_cap_checked_before_defect_rep(monkeypatch, xxx, build):
                         lambda *args: calls.append(args) or build_rep(*args))
     monkeypatch.setenv("DEFECTBETHE_MAX_DIM", "8")
     chain = ChainSpec(N=2, defect_spin=40.0, params=xxx)
-    args = (0.3,) if build == "monodromy" else ()
+    args = (0.3,) if build == "transfer" else ()
     with pytest.raises(DimensionCapExceeded):
         getattr(spin_chain, build)(chain, *args)
     assert calls == []
 
 
-def test_dimension_cap_counts_monodromy_accumulator(monkeypatch, xxx):
-    # H is D x D; the monodromy carries the auxiliary space, so 2D x 2D
+def test_dimension_cap_counts_transfer_auxiliary_space(monkeypatch, xxx):
+    # H is D x D; transfer carries the auxiliary space, in 2D x D blocks
     chain = ChainSpec(N=2, defect_spin=1.0, params=xxx, theta=0.3)
     monkeypatch.setenv("DEFECTBETHE_MAX_DIM", str(chain.hilbert_dim))
     assert hamiltonian(chain).shape == (12, 12)
     with pytest.raises(DimensionCapExceeded):
-        monodromy(chain, 0.3)
-    with pytest.raises(DimensionCapExceeded):
         transfer(chain, 0.3)
+    monkeypatch.setenv("DEFECTBETHE_MAX_DIM", str(2 * chain.hilbert_dim))
+    assert transfer(chain, 0.3).shape == (12, 12)
 
 
 def test_bethe_state_validation():
-    with pytest.raises(ValueError):
+    # M is the number of roots, so it cannot disagree with them
+    with pytest.raises(TypeError):
         BetheState(M=2, roots=(0.1,))
-    st = BetheState(M=2, roots=(0.3 + 0.5j, 0.3 - 0.5j))
+    st = BetheState(roots=(0.3 + 0.5j, 0.3 - 0.5j))
+    assert st.M == 2
     assert conjugation_defect(st) < 1e-15
-    st = BetheState(M=1, roots=(0.3 + 0.5j,))
+    st = BetheState(roots=[0.3 + 0.5j])
+    assert (st.M, st.roots) == (1, (0.3 + 0.5j,))
     assert conjugation_defect(st) > 0.9
+    assert BetheState().M == 0
 
 
 def test_string_seed():
@@ -152,17 +158,32 @@ def test_string_seed():
 
 
 # ---------------------------------------------------------------------------
-# monodromy / transfer
+# transfer
 # ---------------------------------------------------------------------------
 
 
-def test_monodromy_bulkless_chain_is_defect_lax(xxx, trig):
+def test_transfer_bulkless_chain_is_defect_lax_trace(xxx, trig):
+    # N = 0: t(lam) = A + D, the aux-diagonal blocks of L(lam - theta)
     for params in (xxx, trig):
         chain = ChainSpec(N=0, defect_spin=1.0, params=params, theta=0.3)
-        rep = build_rep(1.0, params)
-        got = monodromy(chain, 0.9)
-        want = defect_lax(params, rep, 0.9 - 0.3)
-        assert np.max(np.abs(got - want)) < 1e-14
+        lax = defect_lax(params, build_rep(1.0, params), 0.9 - 0.3)
+        want = lax[:3, :3] + lax[3:, 3:]
+        assert np.max(np.abs(transfer(chain, 0.9) - want)) < 1e-14
+
+
+def test_transfer_peak_memory_below_two_aux_squares(xxx):
+    # one (2D) x (2D) complex array is what the full aux x chain product
+    # would take; the column blocks keep the peak below twice that
+    chain = ChainSpec(N=6, defect_spin=1.0, params=xxx, theta=0.3)
+    d = chain.hilbert_dim
+    tracemalloc.start()
+    try:
+        t = transfer(chain, 0.41)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.shape == (d, d)
+    assert peak < 2 * (2 * d) ** 2 * 16
 
 
 @pytest.mark.parametrize("S", [0.5, 1.0])
@@ -465,11 +486,11 @@ def test_solver_input_validation(xxx):
 
 def test_bae_residual_empty_state(xxx):
     chain = ChainSpec(N=2, defect_spin=0.5, params=xxx)
-    assert bae_residual(chain, BetheState(M=0)) == 0.0
+    assert bae_residual(chain, BetheState()) == 0.0
 
 
 def test_bae_pole_guard(xxx):
     chain = ChainSpec(N=2, defect_spin=0.5, params=xxx, theta=0.0)
-    state = BetheState(M=1, roots=(0.5j,))  # right on the e_1 pole
+    state = BetheState(roots=(0.5j,))  # right on the e_1 pole
     with pytest.raises(PoleError):
         bae_residual(chain, state)
