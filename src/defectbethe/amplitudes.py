@@ -77,8 +77,9 @@ class DefectRegimeData:
 
     @classmethod
     def from_params(cls, params, spin, rapidity_offset=0.0):
-        if spin <= 0:
-            raise DomainError("defect spin must be positive")
+        if not 0.0 < 2.0 * spin < math.inf:
+            raise DomainError(
+                f"defect spin must be positive with 2S finite, got {spin}")
         if params.is_rational:
             return cls(spin=spin, regime="rational",
                        gamma=0.0, branch_index=0, shifted_spin=spin - 0.5,
@@ -303,16 +304,18 @@ def kink_S_amplitudes(params, lams):
 
 def _gamma_ratios(num1, num2, den1, den2):
     """Gamma(num1) Gamma(num2) / (Gamma(den1) Gamma(den2)) per grid point,
-    through one log_gamma call."""
-    lg = log_gamma(np.stack([num1, num2, den1, den2]))
-    vals = np.exp(lg[0] + lg[1] - lg[2] - lg[3])
+    through one log_gamma call.  A huge spin overflows them quietly here;
+    AmplitudeValue then refuses the non-finite value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lg = log_gamma(np.stack([num1, num2, den1, den2]))
+        vals = np.exp(lg[0] + lg[1] - lg[2] - lg[3])
     return [AmplitudeValue(complex(v), err=4e-16 * abs(v), terms_used=0)
             for v in vals]
 
 
 def kink_S_by_integral(params, lam):
     """Same amplitude through the log-integral over r_s."""
-    return fourier_log_integral(kernel_hat("r_s", params), lam)
+    return fourier_log_integral(kernel_hat("r_s", params), _real_arg(lam))
 
 
 def s_matrix(params, lam):
@@ -375,7 +378,8 @@ def transmission_by_integral(params, data, lam_hat):
     """Transmission eigenvalue through the log-integral over r_t."""
     _check_regime(params, data)
     y = 2.0 * data.spin
-    return fourier_log_integral(kernel_hat("r_t", params, order=y), lam_hat)
+    return fourier_log_integral(kernel_hat("r_t", params, order=y),
+                                _real_arg(lam_hat))
 
 
 def transmission_eigenvalue_ratio(data, lam_hat):

@@ -6,6 +6,11 @@ product-vs-integral comparison), `chain` diagonalizes finite chains and
 solves their Bethe equations, and `identity` reruns the two gamma
 integral identities.  Records stream to stdout as JSON lines or CSV.
 
+Each `amp` kind and each `chain` action has its own parser, built from
+parent parsers (one per option group), holding only the options its code
+reads; options follow the kind or action (`amp kink --lambda 0.3`).  A
+record's params echo the parsed options.
+
 Exit codes: 0 when every residual is inside tolerance, 1 when a check
 fails numerically, 2 on usage or domain errors.
 """
@@ -82,6 +87,11 @@ class Emitter:
         self.stream.flush()
 
 
+def _echo(args, *skip):
+    """The parsed options, less the command function and those in skip."""
+    return {k: v for k, v in vars(args).items() if k not in ("fn", *skip)}
+
+
 def _tolerance(args, default):
     """--tol if given, else the record's own default."""
     return default if args.tol is None else args.tol
@@ -109,10 +119,6 @@ def _parse_sweep(text):
     if steps < 1:
         raise DefectBetheError("--sweep needs at least one step")
     return np.linspace(lo, hi, steps)
-
-
-def _spin_list(args, default):
-    return args.spin if args.spin else default
 
 
 def _rep_spin_list(args, params, base):
@@ -170,7 +176,7 @@ def _cmd_verify(args, emitter):
     elif args.what == "rtt":
         tol = _tolerance(args, 1e-10)
         default = [1.0, 1.5] if params.is_rational else [1.0]
-        for spin in _spin_list(args, default):
+        for spin in args.spin or default:
             data = amp.DefectRegimeData.from_params(params, spin)
             pairs = rng.uniform(-1.5, 1.5, size=(args.samples, 2))
             worst = max(checks.rtt_residual(params, data, l1, l2)
@@ -184,7 +190,7 @@ def _cmd_verify(args, emitter):
             if args.what == "unitarity" else checks.matrix_crossing_residual
         scalar_fn = checks.scalar_unitarity_residual \
             if args.what == "unitarity" else checks.scalar_crossing_residual
-        for spin in _spin_list(args, [0.5, 1.0, 1.5]):
+        for spin in args.spin or [0.5, 1.0, 1.5]:
             data = amp.DefectRegimeData.from_params(params, spin)
             worst = max(scalar_fn(params, data, x) for x in grid)
             realizable = data.shifted_spin >= 0.25
@@ -271,9 +277,7 @@ def _cmd_amp(args, emitter):
         raise DefectBetheError(
             "breathers exist in the attractive trigonometric regime "
             "only; pass --model xxz --regime attractive")
-    base = {"kind": args.kind, "model": args.model, "mu": args.mu,
-            "regime": args.regime, "spin": args.spin, "theta": args.theta,
-            "n1": args.n1, "n2": args.n2}
+    base = _echo(args, "command", "format", "lam", "sweep", "tol")
     data = None
     if args.kind in ("transmission", "breather-t"):
         data = amp.DefectRegimeData.from_params(params, args.spin)
@@ -355,9 +359,8 @@ def _cmd_chain(args, emitter):
     chain = spin_chain.ChainSpec(N=args.N, defect_spin=args.spin,
                                  params=params, theta=args.theta,
                                  defect_site=args.defect_site)
-    base = {"N": args.N, "defect_site": chain.defect_site,
-            "spin": args.spin, "theta": args.theta, "model": args.model,
-            "mu": args.mu, "regime": args.regime}
+    base = {**_echo(args, "command", "format", "action", "regime", "tol",
+                    "seed"), "defect_site": chain.defect_site}
 
     if args.action == "diagonalize":
         # H conserves total S^z (sector_blocks checks it), so its spectrum
@@ -394,8 +397,7 @@ def _cmd_chain(args, emitter):
         for root in state.roots:
             emitter.emit(_record(
                 "chain bae",
-                {**base, "magnons": args.magnons, "solution": s_idx,
-                 "tol": tol, "passed": res <= tol},
+                {**base, "solution": s_idx, "tol": tol, "passed": res <= tol},
                 value=root, residual=res))
     return 1 if failed else 0
 
@@ -467,65 +469,70 @@ def _finite_nonnegative(text):
     return value
 
 
-def _add_common(sub):
-    sub.add_argument("--model", choices=["xxx", "xxz"], default="xxx")
-    sub.add_argument("--mu", type=_finite_float, default=None,
-                     help="anisotropy for --model xxz, in (0, pi)")
-    sub.add_argument("--regime", choices=[REPULSIVE, ATTRACTIVE],
-                     default=None)
-    sub.add_argument("--tol", type=_finite_nonnegative, default=None,
-                     help="override the default tolerance of every record")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
+def _options(**options):
+    """A parent parser with --name for each name=add_argument keywords."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name, kwargs in options.items():
+        parent.add_argument("--" + name.replace("_", "-"), **kwargs)
+    return parent
 
 
 def build_parser():
+    model = _options(model=dict(choices=["xxx", "xxz"], default="xxx"),
+                     mu=dict(type=_finite_float,
+                             help="anisotropy for --model xxz, in (0, pi)"))
+    regime = _options(regime=dict(choices=[REPULSIVE, ATTRACTIVE]))
+    defect = _options(spin=dict(type=_finite_float, default=0.5),
+                      theta=dict(type=_finite_float, default=0.0))
+    n1 = _options(n1=dict(type=int, default=1))
+    n2 = _options(n2=dict(type=int, default=1))
+    tol = _options(tol=dict(type=_finite_nonnegative, help="override the "
+                            "default tolerance of every record"))
+    seed = _options(seed=dict(type=int, default=0))
+    fmt = _options(format=dict(choices=["json", "csv"], default="json"))
+
     parser = argparse.ArgumentParser(
         prog="defectbethe",
         description="Integrable spin chains with one transmitting defect: "
                     "verification suites, amplitudes, finite chains.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = subs.add_parser("verify", help="run a residual suite")
-    p_verify.add_argument("what", choices=["ybe", "rll", "rtt", "unitarity",
-                                           "crossing", "casimir",
-                                           "defect-spectrum"])
-    p_verify.add_argument("--spin", type=_finite_float, action="append",
-                          help="repeatable; defaults depend on the check")
-    p_verify.add_argument("--samples", type=_positive_int, default=20)
-    _add_common(p_verify)
-    p_verify.set_defaults(fn=_cmd_verify)
+    checks = _options()
+    checks.add_argument("what", choices=["ybe", "rll", "rtt", "unitarity",
+                                         "crossing", "casimir",
+                                         "defect-spectrum"])
+    checks.add_argument("--spin", type=_finite_float, action="append",
+                        help="repeatable; defaults depend on the check")
+    checks.add_argument("--samples", type=_positive_int, default=20)
+    subs.add_parser("verify", help="run a residual suite", parents=[
+        checks, model, regime, tol, seed, fmt]).set_defaults(fn=_cmd_verify)
 
     p_amp = subs.add_parser("amp", help="evaluate an amplitude")
-    p_amp.add_argument("kind", choices=["kink", "transmission",
-                                        "breather-s", "breather-t"])
-    points = p_amp.add_mutually_exclusive_group(required=True)
-    points.add_argument("--lambda", dest="lam", type=_finite_float)
-    points.add_argument("--sweep", default=None, metavar="MIN:MAX:STEPS")
-    p_amp.add_argument("--spin", type=_finite_float, default=0.5)
-    p_amp.add_argument("--theta", type=_finite_float, default=0.0)
-    p_amp.add_argument("--n1", type=int, default=1)
-    p_amp.add_argument("--n2", type=int, default=1)
-    p_amp.add_argument("--method", choices=["product", "integral", "both"],
-                       default="product")
-    _add_common(p_amp)
     p_amp.set_defaults(fn=_cmd_amp)
+    points = _options(method=dict(choices=["product", "integral", "both"],
+                                  default="product"))
+    where = points.add_mutually_exclusive_group(required=True)
+    where.add_argument("--lambda", dest="lam", type=_finite_float)
+    where.add_argument("--sweep", metavar="MIN:MAX:STEPS")
+    kinds = p_amp.add_subparsers(dest="kind", required=True)
+    for kind, own in [("kink", []), ("transmission", [defect]),
+                      ("breather-s", [n1, n2]), ("breather-t", [defect, n1])]:
+        kinds.add_parser(kind, parents=[points, model, regime, tol, fmt, *own])
 
     p_chain = subs.add_parser("chain", help="finite-chain computations")
-    p_chain.add_argument("action", choices=["diagonalize", "bae"])
-    p_chain.add_argument("--N", type=int, required=True,
-                         help="number of bulk spin-1/2 sites")
-    p_chain.add_argument("--defect-site", type=int, default=None)
-    p_chain.add_argument("--spin", type=_finite_float, default=0.5)
-    p_chain.add_argument("--theta", type=_finite_float, default=0.0)
-    p_chain.add_argument("--magnons", type=int, default=1)
-    _add_common(p_chain)
-    p_chain.set_defaults(fn=_cmd_chain)
+    p_chain.set_defaults(fn=_cmd_chain, regime=None)  # takes no --regime
+    sites = _options(N=dict(type=int, required=True,
+                            help="number of bulk spin-1/2 sites"),
+                     defect_site=dict(type=int))
+    magnons = _options(magnons=dict(type=int, default=1))
+    actions = p_chain.add_subparsers(dest="action", required=True)
+    for action, own in [("diagonalize", []), ("bae", [magnons, tol, seed])]:
+        actions.add_parser(action, parents=[sites, defect, model, fmt, *own])
 
-    p_id = subs.add_parser("identity", help="gamma integral identities")
+    p_id = subs.add_parser("identity", help="gamma integral identities",
+                           parents=[tol, seed, fmt])
     p_id.add_argument("kind", choices=["use1", "use2"])
     p_id.add_argument("--samples", type=_positive_int, default=None)
-    _add_common(p_id)
     p_id.set_defaults(fn=_cmd_identity)
 
     return parser
@@ -533,9 +540,7 @@ def build_parser():
 
 def _write_error(args, message, **extra):
     """One JSON line on stderr: the command, the message, the arguments."""
-    err = {"command": args.command, "error": message,
-           "params": {k: v for k, v in vars(args).items()
-                      if k not in ("fn",) and not callable(v)}}
+    err = {"command": args.command, "error": message, "params": _echo(args)}
     err.update(extra)
     sys.stderr.write(json.dumps(err, default=str) + "\n")
 

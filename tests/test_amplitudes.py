@@ -108,6 +108,16 @@ def test_regime_data_attractive(attractive4):
     assert data.shifted_spin == 1.0
 
 
+@pytest.mark.parametrize("spin", [1e308, math.inf, math.nan])
+@pytest.mark.parametrize("model", ["xxx", "repulsive4", "attractive4"])
+def test_regime_data_refuses_non_finite_2s(request, model, spin):
+    # 2S = 2e308 overflows to inf: refused as a domain error before the
+    # branch window can raise OverflowError on it
+    params = request.getfixturevalue(model)
+    with pytest.raises(DomainError, match="2S finite"):
+        DefectRegimeData.from_params(params, spin)
+
+
 def test_branch_window_edges(repulsive4, attractive4):
     # 2S exactly on a window edge is rejected
     with pytest.raises(DomainError):
@@ -582,6 +592,26 @@ def test_breather_unitarity(attractive4):
     v = breather_S(1, 1, 0.6, g)
     assert abs(v * breather_S(1, 1, -0.6, g) - 1.0) < 1e-11
     assert abs(abs(v) - 1.0) < 1e-11
+
+
+@pytest.mark.parametrize("lam", [np.complex128(0.3 + 0.2j), 0.3 + 0.2j],
+                         ids=["numpy", "python"])
+@pytest.mark.parametrize("route", ["kink", "transmission", "breather-s",
+                                   "breather-t"])
+def test_integral_routes_refuse_complex_rapidity(xxx, attractive4, route,
+                                                 lam):
+    # the log-integrals are real-line Fourier integrals: a complex rapidity
+    # is refused, not cut to its real part
+    call = {
+        "kink": lambda: kink_S_by_integral(xxx, lam),
+        "transmission": lambda: transmission_by_integral(
+            xxx, DefectRegimeData.from_params(xxx, 1.0), lam),
+        "breather-s": lambda: breather_S_by_integral(attractive4, lam),
+        "breather-t": lambda: breather_T_by_integral(
+            attractive4, DefectRegimeData.from_params(attractive4, 1.0), lam),
+    }[route]
+    with pytest.raises(DomainError, match="needs a real rapidity"):
+        call()
 
 
 def test_breather_label_validation(attractive4):

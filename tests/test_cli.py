@@ -1,11 +1,13 @@
 """End-to-end CLI coverage through main(argv), parsing emitted records."""
 
+import argparse
 import csv
 import io
 import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -157,6 +159,7 @@ def test_verify_seed_determinism(capsys):
 
 
 NU4 = ["--model", "xxz", "--mu", "0.7853981633974483"]  # q^8 = 1
+ATT4 = [*NU4, "--regime", "attractive"]
 
 
 @pytest.mark.parametrize("regime", ["repulsive", "attractive"])
@@ -289,17 +292,71 @@ def test_amp_defectless_records_have_no_branch_index(capsys, argv):
     assert all("branch_index" not in r["params"] for r in json_lines(out))
 
 
-def test_amp_breather_s_ignores_spin(capsys):
-    # 2S = 4 sits on the edge of the nu = 4 windows, but breather-breather
-    # scattering involves no defect, so --spin plays no part
-    argv = ["amp", "breather-s", "--model", "xxz", "--mu",
-            repr(math.pi / 4), "--regime", "attractive", "--lambda", "0.3"]
+def test_amp_breather_s_rejects_spin(capsys):
+    # breather-breather scattering involves no defect, so there is no
+    # --spin to give (2S = 4 would sit on the edge of the nu = 4 windows)
+    err = usage_error(capsys, [
+        "amp", "breather-s", *ATT4, "--lambda", "0.3", "--spin", "2"])
+    assert "unrecognized arguments: --spin 2" in err
+
+
+# per command, the options it does not read: each is a usage error
+UNREAD_OPTIONS = [
+    (["amp", "kink", "--lambda", "0.3"],
+     ["--spin", "--theta", "--n1", "--n2", "--seed"]),
+    (["amp", "transmission", "--lambda", "0.3"], ["--n1", "--n2", "--seed"]),
+    (["amp", "breather-s", *ATT4, "--lambda", "0.3"],
+     ["--spin", "--theta", "--seed"]),
+    (["amp", "breather-t", *ATT4, "--spin", "1", "--lambda", "0.3"],
+     ["--n2", "--seed"]),
+    (["chain", "diagonalize", "--N", "2"],
+     ["--magnons", "--tol", "--seed", "--regime"]),
+    (["chain", "bae", "--N", "2"], ["--regime"]),
+    (["identity", "use1", "--samples", "2"], ["--model", "--mu", "--regime"]),
+]
+OPTION_VALUES = {"--spin": "1", "--theta": "0.3", "--n1": "1", "--n2": "1",
+                 "--seed": "3", "--magnons": "1", "--tol": "1e-8",
+                 "--regime": "attractive", "--model": "xxz", "--mu": "0.7"}
+
+
+@pytest.mark.parametrize("argv, option", [
+    (argv, option) for argv, options in UNREAD_OPTIONS for option in options],
+    ids=lambda x: " ".join(x[:2]) if isinstance(x, list) else x)
+def test_unread_option_is_usage_error(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, OPTION_VALUES[option]])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"unrecognized arguments: {option}" in err
+
+
+# record fields that are no option: the route, the chain's eigenvalue index
+# and sector, its summary record, the Bethe solution and its verdict, and the
+# defect's branch index, which --spin and the anisotropy fix
+RECORD_FIELDS = {"method", "index", "sz", "part", "sectors", "largest_sector",
+                 "solution", "passed", "branch_index"}
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["amp", "kink", "--lambda", "0.3"], {"kind", "model", "mu", "regime"}),
+    (["amp", "transmission", "--lambda", "0.3"],
+     {"kind", "model", "mu", "regime", "spin", "theta"}),
+    (["amp", "breather-s", *ATT4, "--lambda", "0.3"],
+     {"kind", "model", "mu", "regime", "n1", "n2"}),
+    (["amp", "breather-t", *ATT4, "--spin", "1", "--lambda", "0.3"],
+     {"kind", "model", "mu", "regime", "spin", "theta", "n1"}),
+    (["chain", "diagonalize", "--N", "2"],
+     {"N", "defect_site", "spin", "theta", "model", "mu"}),
+    (["chain", "bae", "--N", "2"],
+     {"N", "defect_site", "spin", "theta", "model", "mu", "magnons", "tol"}),
+], ids=lambda x: " ".join(x[:2]) if isinstance(x, list) else None)
+def test_record_params_are_the_options_read(capsys, argv, read):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    code, out_spin, _ = run_cli(capsys, [*argv, "--spin", "2"])
-    assert code == 0
-    (rec,), (rec_spin,) = json_lines(out), json_lines(out_spin)
-    assert (rec_spin["re"], rec_spin["im"]) == (rec["re"], rec["im"])
+    parsed = set(vars(build_parser().parse_args(argv)))
+    assert read <= parsed
+    for rec in json_lines(out):
+        assert set(rec["params"]) - RECORD_FIELDS == read
 
 
 def test_branch_m_flag_rejected(capsys):
@@ -445,6 +502,23 @@ def test_bad_spin_refused_before_any_rep(capsys, monkeypatch, argv):
     assert "half-integer" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "unitarity", *NU4, "--regime", "repulsive", "--spin", "1e308",
+     "--samples", "2"],
+    ["amp", "transmission", *ATT4, "--spin", "1e308", "--lambda", "0.3"],
+    ["verify", "unitarity", "--spin", "1e308", "--samples", "2"],
+    ["verify", "unitarity", "--spin", "1e307", "--samples", "2"]])
+def test_huge_defect_spin_is_one_error_line(capsys, argv):
+    # 2S = 2e308 overflows to inf and is refused; at 2S = 2e307 the Gamma
+    # ratios overflow, quietly, and the non-finite amplitude is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]
+
+
 # ---------------------------------------------------------------------------
 # identity
 # ---------------------------------------------------------------------------
@@ -503,7 +577,6 @@ def test_tol_must_be_finite_and_nonnegative(capsys, argv, tol):
     (["chain", "diagonalize", "--N", "2"], "--spin"),
     (["chain", "diagonalize", "--N", "2"], "--theta"),
     (["chain", "bae", "--N", "2", "--model", "xxz"], "--mu"),
-    (["identity", "use1", "--model", "xxz"], "--mu"),
 ])
 def test_float_options_must_be_finite(capsys, argv, option, value):
     err = usage_error(capsys, [*argv, f"{option}={value}"])
@@ -589,10 +662,18 @@ def test_readme_command_runs(capsys, argv):
     assert out
 
 
+def _accepted_flags(parser):
+    """The flags of parser and of every subcommand parser below it."""
+    flags = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _accepted_flags(sub)
+    return flags
+
+
 def test_readme_flags_exist():
-    subparsers = build_parser()._subparsers._group_actions[0].choices
-    accepted = {flag for sub in subparsers.values()
-                for flag in sub._option_string_actions}
+    accepted = _accepted_flags(build_parser())
     named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*",
                            _readme_command_line_section()))
     assert named and named <= accepted, named - accepted
