@@ -10,6 +10,9 @@ Conventions.  Kernel transforms follow f(x) = (1/2pi) Int dw e^{-iwx}
 fhat(w).  Log-integral amplitudes are exp[-PV Int dw/w e^{-iwx} fhat(w)].
 For the breather amplitudes the closed forms equal minus the log-integral
 evaluated at reflected argument; see breather_S_by_integral.
+
+Bulk amplitudes take the model's ModelParameters; a function of one defect
+takes its DefectRegimeData alone, which carries the model.
 """
 
 from __future__ import annotations
@@ -19,15 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, NotRealizable, PoleError, RepMismatch,
-                     RootOfUnityError)
-from .lax_operators import defect_lax, exchange_sides
+from .errors import DomainError, NotRealizable, PoleError, RootOfUnityError
+from .lax_operators import defect_lax
 from .special_functions import (AmplitudeValue, GammaProductSpec,
                                 fourier_log_integral, gamma_product,
                                 gamma_products, inverse_fourier_even,
                                 log_gamma)
-from .spin_algebra import (ATTRACTIVE, REPULSIVE, ModelParameters,
-                           SpinRepresentation, build_rep)
+from .spin_algebra import ATTRACTIVE, REPULSIVE, ModelParameters, build_rep
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +53,9 @@ def branch_index(params, spin):
 class DefectRegimeData:
     """Derived constants attached to one defect in one coupling regime.
 
+    params          -- the model they derive from; regime ('rational' |
+                       'repulsive' | 'attractive') and gamma read it
     spin            -- defect spin S
-    regime          -- 'rational' | 'repulsive' | 'attractive'
-    gamma           -- renormalized coupling of the regime
     branch_index    -- periodicity window index m (0 in the rational case)
     shifted_spin    -- spin seen by the scattering data after the Bethe
                        shift: S - 1/2 rational, S - m - 1/2 repulsive,
@@ -66,36 +67,38 @@ class DefectRegimeData:
     rapidity_offset -- optional constant absorbed into i*lam_hat
     """
 
+    params: ModelParameters
     spin: float
-    regime: str
-    gamma: float
     branch_index: int
     shifted_spin: float
     coupling: float | None = None
     breather_shifts: tuple | None = None
     rapidity_offset: float = 0.0
 
+    @property
+    def regime(self):
+        return self.params.regime or "rational"
+
+    @property
+    def gamma(self):
+        return 0.0 if self.params.is_rational else self.params.gamma
+
     @classmethod
     def from_params(cls, params, spin, rapidity_offset=0.0):
         if not 0.0 < 2.0 * spin < math.inf:
             raise DomainError(
                 f"defect spin must be positive with 2S finite, got {spin}")
-        if params.is_rational:
-            return cls(spin=spin, regime="rational",
-                       gamma=0.0, branch_index=0, shifted_spin=spin - 0.5,
-                       rapidity_offset=rapidity_offset)
         m = branch_index(params, spin)
-        g = params.gamma
-        if params.regime_name == REPULSIVE:
-            return cls(spin=spin, regime=REPULSIVE,
-                       gamma=g, branch_index=m, shifted_spin=spin - m - 0.5,
+        if params.is_rational or params.regime_name == REPULSIVE:
+            return cls(params, spin, branch_index=m,
+                       shifted_spin=spin - m - 0.5,
                        rapidity_offset=rapidity_offset)
+        g = params.gamma
         xi = spin + g / 2.0
         lam_off = rapidity_offset
         eta = (1j * math.pi * (lam_off + xi) / g,
                1j * math.pi * (lam_off - xi) / g)
-        return cls(spin=spin, regime=ATTRACTIVE,
-                   gamma=g, branch_index=m, shifted_spin=float(m),
+        return cls(params, spin, branch_index=m, shifted_spin=float(m),
                    coupling=xi, breather_shifts=eta,
                    rapidity_offset=rapidity_offset)
 
@@ -204,20 +207,20 @@ def hole_dispersion(params, lam):
     return eps, p
 
 
-def state_density(params, data, theta, holes, lam, N):
+def state_density(data, theta, holes, lam, N):
     """Finite-size density sigma0 + (1/N)(sum r_s(lam-hole) + r_t(lam-theta))
     with the defect at rapidity theta.
 
     The correction kernels are inverse-transformed by quadrature; only
     sigma0 uses its closed form.
     """
-    eps, _ = hole_dispersion(params, lam)
+    eps, _ = hole_dispersion(data.params, lam)
     y = 2.0 * data.spin
-    r_s = kernel_hat("r_s", params)
+    r_s = kernel_hat("r_s", data.params)
     corr = 0.0
     for h in holes:
         corr += inverse_fourier_even(r_s, lam - h)[0]
-    corr += inverse_fourier_even(kernel_hat("r_t", params, order=y),
+    corr += inverse_fourier_even(kernel_hat("r_t", data.params, order=y),
                                  lam - theta)[0]
     return float(eps + corr / N)
 
@@ -347,14 +350,13 @@ def s_matrix(params, lam):
 # ---------------------------------------------------------------------------
 
 
-def transmission_amplitude(params, data, lam_hat):
+def transmission_amplitude(data, lam_hat):
     """First transmission eigenvalue for a kink passing the defect."""
-    return transmission_amplitudes(params, data, [lam_hat])[0]
+    return transmission_amplitudes(data, [lam_hat])[0]
 
 
-def transmission_amplitudes(params, data, lam_hats):
+def transmission_amplitudes(data, lam_hats):
     """transmission_amplitude over a rapidity grid, in one engine pass."""
-    _check_regime(params, data)
     lam_hats = np.asarray(lam_hats, dtype=complex).ravel()
     if data.regime == "rational":
         st = data.shifted_spin
@@ -374,11 +376,10 @@ def transmission_amplitudes(params, data, lam_hats):
     return gamma_products(specs)
 
 
-def transmission_by_integral(params, data, lam_hat):
+def transmission_by_integral(data, lam_hat):
     """Transmission eigenvalue through the log-integral over r_t."""
-    _check_regime(params, data)
     y = 2.0 * data.spin
-    return fourier_log_integral(kernel_hat("r_t", params, order=y),
+    return fourier_log_integral(kernel_hat("r_t", data.params, order=y),
                                 _real_arg(lam_hat))
 
 
@@ -391,37 +392,26 @@ def transmission_eigenvalue_ratio(data, lam_hat):
     return (1j * lam_hat - st - 0.5) / den
 
 
-def transmission_matrix(params, data, rep, lam_hat):
-    """2(2S~+1)-dimensional transmission matrix over the shifted-spin rep.
+def transmission_matrix(data, lam_hat):
+    """2(2S~+1)-dimensional transmission matrix over shifted_spin_rep(data).
 
-    Rational and repulsive regimes produce a concrete matrix; the rep
-    must carry spin S~ and, in the repulsive case, the renormalized
-    deformation pi*gamma.  The attractive matrix needs an
-    infinite-dimensional representation and raises NotRealizable.
+    Rational and repulsive regimes produce a concrete matrix, over spin S~
+    and, in the repulsive case, the renormalized deformation pi*gamma.
+    The attractive matrix needs an infinite-dimensional representation
+    and raises NotRealizable.
     """
-    _check_regime(params, data)
     if data.regime == ATTRACTIVE:
         raise NotRealizable(
             "attractive transmission matrix needs an infinite-"
             "dimensional representation")
-    if rep is None or not isinstance(rep, SpinRepresentation):
-        raise RepMismatch("a shifted-spin representation is required")
-    if abs(rep.spin - data.shifted_spin) > 1e-12:
-        raise RepMismatch(
-            f"rep spin {rep.spin} != shifted spin {data.shifted_spin}")
+    rep = shifted_spin_rep(data)
     lam_hat = complex(lam_hat)
-    t_first = transmission_amplitude(params, data, lam_hat).value
+    t_first = transmission_amplitude(data, lam_hat).value
     st = data.shifted_spin
     if data.regime == "rational":
-        if rep.deformation is not None:
-            raise RepMismatch("rational matrix needs an undeformed rep")
         den = 1j * lam_hat + st + 0.5
     else:
-        mu_r = math.pi * data.gamma
-        if rep.deformation is None or abs(rep.deformation - mu_r) > 1e-12:
-            raise RepMismatch(
-                f"repulsive matrix needs deformation pi*gamma = {mu_r}")
-        den = np.sin(mu_r * (1j * lam_hat + st + 0.5))
+        den = np.sin(rep.deformation * (1j * lam_hat + st + 0.5))
     if abs(den) < 1e-13:
         raise PoleError("transmission matrix prefactor pole")
     return (t_first / den) * transmission_blocks(rep, lam_hat)
@@ -440,8 +430,8 @@ def transmission_blocks(rep, lam):
     return -1j * defect_lax(family, rep, -complex(lam))
 
 
-def shifted_spin_rep(params, data):
-    """The rep transmission_matrix expects, where one exists.
+def shifted_spin_rep(data):
+    """The rep transmission_matrix is built over, where one exists.
 
     Raises NotRealizable in the attractive regime, for a renormalized
     deformation pi*gamma outside (0, pi), and for a degenerate rep.
@@ -456,24 +446,6 @@ def shifted_spin_rep(params, data):
         raise NotRealizable(
             f"shifted spin {data.shifted_spin} has no finite "
             f"representation: {exc}") from exc
-
-
-def transmission_rtt_residual(params, data, rep, lam1_hat, lam2_hat):
-    """Residual of S12(l1-l2) T1(l1) T2(l2) = T2(l2) T1(l1) S12(l1-l2)."""
-    lhs, rhs = exchange_sides(
-        s_matrix(params, lam1_hat - lam2_hat),
-        transmission_matrix(params, data, rep, lam1_hat),
-        transmission_matrix(params, data, rep, lam2_hat))
-    scale = max(np.max(np.abs(lhs)), 1e-30)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
-
-
-def _check_regime(params, data):
-    if params.is_rational != (data.regime == "rational"):
-        raise DomainError("regime data does not match the model family")
-    if not params.is_rational and params.regime_name != data.regime:
-        raise DomainError(
-            f"regime data is {data.regime}, model is {params.regime_name}")
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +531,12 @@ def _breather_T_1(lam_hat, gamma, eta1, eta2):
     return -num / den
 
 
-def breather_T(n, lam_hat, gamma, eta1, eta2):
+def breather_T(data, n, lam_hat):
     """Transmission amplitude of an n-breather through the defect."""
     if n < 1:
         raise DomainError("breather label must be >= 1")
     lam_hat = complex(lam_hat)
+    gamma, (eta1, eta2) = data.gamma, data.breather_shifts
     out = 1.0 + 0.0j
     for l in range(1, n + 1):
         out *= _breather_T_1(lam_hat + 0.5j * (n + 1 - 2 * l),
@@ -583,10 +556,10 @@ def breather_S_by_integral(params, lam):
     return AmplitudeValue(-val.value, err=val.err, terms_used=val.terms_used)
 
 
-def breather_T_by_integral(params, data, lam_hat):
+def breather_T_by_integral(data, lam_hat):
     """Lightest-breather transmission via the log-integral over t_b."""
     y = 2.0 * data.spin
-    val = fourier_log_integral(kernel_hat("t_b", params, order=y),
+    val = fourier_log_integral(kernel_hat("t_b", data.params, order=y),
                                -_real_arg(lam_hat))
     return AmplitudeValue(-val.value, err=val.err, terms_used=val.terms_used)
 

@@ -30,8 +30,8 @@ from . import lax_operators as lax
 from . import physics_checks as checks
 from . import special_functions as sf
 from . import spin_chain
-from .errors import (DefectBetheError, NonConvergence, NotRealizable,
-                     RootOfUnityError)
+from .errors import (DefectBetheError, DimensionCapExceeded, NonConvergence,
+                     NotRealizable, RootOfUnityError)
 from .spin_algebra import (ATTRACTIVE, REPULSIVE, ModelParameters, build_rep)
 
 CSV_FIELDS = ["command", "params", "lambda", "re", "im", "err", "residual",
@@ -88,8 +88,9 @@ class Emitter:
 
 
 def _echo(args, *skip):
-    """The parsed options, less the command function and those in skip."""
-    return {k: v for k, v in vars(args).items() if k not in ("fn", *skip)}
+    """The parsed options, less fn, parser and those in skip."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("fn", "parser", *skip)}
 
 
 def _tolerance(args, default):
@@ -179,7 +180,7 @@ def _cmd_verify(args, emitter):
         for spin in args.spin or default:
             data = amp.DefectRegimeData.from_params(params, spin)
             pairs = rng.uniform(-1.5, 1.5, size=(args.samples, 2))
-            worst = max(checks.rtt_residual(params, data, l1, l2)
+            worst = max(checks.rtt_residual(data, l1, l2)
                         for l1, l2 in pairs)
             report(worst, tol, spin=spin,
                    shifted_spin=data.shifted_spin)
@@ -192,16 +193,15 @@ def _cmd_verify(args, emitter):
             if args.what == "unitarity" else checks.scalar_crossing_residual
         for spin in args.spin or [0.5, 1.0, 1.5]:
             data = amp.DefectRegimeData.from_params(params, spin)
-            worst = max(scalar_fn(params, data, x) for x in grid)
+            worst = max(scalar_fn(data, x) for x in grid)
             realizable = data.shifted_spin >= 0.25
             if realizable:
                 try:
-                    rep = amp.shifted_spin_rep(params, data)
-                except NotRealizable:
+                    amp.shifted_spin_rep(data)
+                except (NotRealizable, DimensionCapExceeded):
                     realizable = False
             if realizable:
-                tfn = functools.partial(amp.transmission_matrix, params,
-                                        data, rep)
+                tfn = functools.partial(amp.transmission_matrix, data)
                 worst = max(worst, max(matrix_fn(tfn, x) for x in grid))
             report(worst, tol, spin=spin, matrix_checked=realizable)
     elif args.what == "casimir":
@@ -231,42 +231,42 @@ def _cmd_verify(args, emitter):
 # amp
 # ---------------------------------------------------------------------------
 
-def _product_route(args, params, data, grid):
-    """Product-route AmplitudeValues over the whole grid.  The Gamma
+def _product_route(args, subject, grid):
+    """Product-route AmplitudeValues over the grid, of the model (kink,
+    breather-s) or the defect's data (transmission, breather-t).  The Gamma
     ladders go through the engine in one batched pass; the breather
     closed forms are cheap products of hyperbolic ratios."""
     if args.kind == "kink":
-        return amp.kink_S_amplitudes(params, grid)
+        return amp.kink_S_amplitudes(subject, grid)
     if args.kind == "transmission":
-        return amp.transmission_amplitudes(params, data, grid - args.theta)
+        return amp.transmission_amplitudes(subject, grid - args.theta)
     if args.kind == "breather-s":
-        vals = [amp.breather_S(args.n1, args.n2, lam, params.gamma)
+        vals = [amp.breather_S(args.n1, args.n2, lam, subject.gamma)
                 for lam in grid]
     else:
-        e1, e2 = data.breather_shifts
-        vals = [amp.breather_T(args.n1, lam - args.theta, data.gamma, e1, e2)
+        vals = [amp.breather_T(subject, args.n1, lam - args.theta)
                 for lam in grid]
     return [sf.AmplitudeValue(val, err=1e-14 * abs(val), terms_used=0)
             for val in vals]
 
 
-def _integral_point(args, params, data, lam):
+def _integral_point(args, subject, lam):
     """Integral-route AmplitudeValue at one rapidity (one quad call)."""
     if args.kind == "kink":
-        return amp.kink_S_by_integral(params, lam)
+        return amp.kink_S_by_integral(subject, lam)
     if args.kind == "transmission":
-        return amp.transmission_by_integral(params, data, lam - args.theta)
+        return amp.transmission_by_integral(subject, lam - args.theta)
     if args.kind == "breather-s":
         if (args.n1, args.n2) != (1, 1):
             raise DefectBetheError(
                 "the integral route covers the lightest breather only "
                 "(--n1 1 --n2 1)")
-        return amp.breather_S_by_integral(params, lam)
+        return amp.breather_S_by_integral(subject, lam)
     if args.n1 != 1:
         raise DefectBetheError(
             "the integral route covers the lightest breather only "
             "(--n1 1)")
-    return amp.breather_T_by_integral(params, data, lam - args.theta)
+    return amp.breather_T_by_integral(subject, lam - args.theta)
 
 
 def _cmd_amp(args, emitter):
@@ -278,10 +278,10 @@ def _cmd_amp(args, emitter):
             "breathers exist in the attractive trigonometric regime "
             "only; pass --model xxz --regime attractive")
     base = _echo(args, "command", "format", "lam", "sweep", "tol")
-    data = None
+    subject = params
     if args.kind in ("transmission", "breather-t"):
-        data = amp.DefectRegimeData.from_params(params, args.spin)
-        base["branch_index"] = data.branch_index
+        subject = amp.DefectRegimeData.from_params(params, args.spin)
+        base["branch_index"] = subject.branch_index
 
     if args.sweep is not None:
         grid = _parse_sweep(args.sweep)
@@ -290,9 +290,9 @@ def _cmd_amp(args, emitter):
 
     prods = integs = [None] * len(grid)
     if args.method in ("product", "both"):
-        prods = _product_route(args, params, data, grid)
+        prods = _product_route(args, subject, grid)
     if args.method in ("integral", "both"):
-        integs = [_integral_point(args, params, data, lam) for lam in grid]
+        integs = [_integral_point(args, subject, lam) for lam in grid]
 
     failed = False
     for lam, prod, integ in zip(grid, prods, integs):
@@ -504,8 +504,9 @@ def build_parser():
     checks.add_argument("--spin", type=_finite_float, action="append",
                         help="repeatable; defaults depend on the check")
     checks.add_argument("--samples", type=_positive_int, default=20)
-    subs.add_parser("verify", help="run a residual suite", parents=[
-        checks, model, regime, tol, seed, fmt]).set_defaults(fn=_cmd_verify)
+    p_verify = subs.add_parser("verify", help="run a residual suite",
+                               parents=[checks, model, regime, tol, seed, fmt])
+    p_verify.set_defaults(fn=_cmd_verify, parser=p_verify)
 
     p_amp = subs.add_parser("amp", help="evaluate an amplitude")
     p_amp.set_defaults(fn=_cmd_amp)
@@ -517,7 +518,9 @@ def build_parser():
     kinds = p_amp.add_subparsers(dest="kind", required=True)
     for kind, own in [("kink", []), ("transmission", [defect]),
                       ("breather-s", [n1, n2]), ("breather-t", [defect, n1])]:
-        kinds.add_parser(kind, parents=[points, model, regime, tol, fmt, *own])
+        leaf = kinds.add_parser(kind, parents=[points, model, regime, tol,
+                                               fmt, *own])
+        leaf.set_defaults(parser=leaf)
 
     p_chain = subs.add_parser("chain", help="finite-chain computations")
     p_chain.set_defaults(fn=_cmd_chain, regime=None)  # takes no --regime
@@ -527,13 +530,15 @@ def build_parser():
     magnons = _options(magnons=dict(type=int, default=1))
     actions = p_chain.add_subparsers(dest="action", required=True)
     for action, own in [("diagonalize", []), ("bae", [magnons, tol, seed])]:
-        actions.add_parser(action, parents=[sites, defect, model, fmt, *own])
+        leaf = actions.add_parser(action,
+                                  parents=[sites, defect, model, fmt, *own])
+        leaf.set_defaults(parser=leaf)
 
     p_id = subs.add_parser("identity", help="gamma integral identities",
                            parents=[tol, seed, fmt])
     p_id.add_argument("kind", choices=["use1", "use2"])
     p_id.add_argument("--samples", type=_positive_int, default=None)
-    p_id.set_defaults(fn=_cmd_identity)
+    p_id.set_defaults(fn=_cmd_identity, parser=p_id)
 
     return parser
 
@@ -546,8 +551,9 @@ def _write_error(args, message, **extra):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:  # shown with the usage of the command that refused them
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         emitter = Emitter(args.format)
         return args.fn(args, emitter)

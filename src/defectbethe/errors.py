@@ -50,10 +50,6 @@ class DegenerateSpectrum(DefectBetheError):
     """Eigenvalue matching is ambiguous: two levels collide within tolerance."""
 
 
-class RepMismatch(DefectBetheError):
-    """Supplied representation has the wrong family, spin or deformation."""
-
-
 class NotRealizable(DefectBetheError):
     """Requested object has no finite-dimensional realization."""
 

@@ -5,6 +5,8 @@ reports the gap: closed-form defect spectra against direct
 diagonalization, unitarity and crossing of the transmission matrix,
 Casimir scalars behind those identities, and the quadratic exchange
 relation tying transmission to the bulk two-body matrix.
+
+The transmission checks take one defect's DefectRegimeData alone.
 """
 
 import cmath
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import amplitudes
 from .errors import DegenerateSpectrum, DomainError
-from .lax_operators import defect_lax
+from .lax_operators import defect_lax, exchange_sides
 from .spin_algebra import REPULSIVE, casimir, total_spin_operator
 
 
@@ -188,15 +190,15 @@ def matrix_crossing_residual(T_fn, lam):
         _aux_partial_transpose(np.asarray(T_fn(lam + 1j))))
 
 
-def scalar_unitarity_residual(params, data, lam):
+def scalar_unitarity_residual(data, lam):
     """|T(lam) T(-lam) - 1| for the scalar transmission eigenvalue."""
     lam = complex(lam)
-    left = amplitudes.transmission_amplitude(params, data, lam).value
-    right = amplitudes.transmission_amplitude(params, data, -lam).value
+    left = amplitudes.transmission_amplitude(data, lam).value
+    right = amplitudes.transmission_amplitude(data, -lam).value
     return abs(left * right - 1.0)
 
 
-def _crossing_ratio(params, data, lam):
+def _crossing_ratio(data, lam):
     st = data.shifted_spin
     if data.regime == "rational":
         num = (1j * lam + st + 0.5) * (-1j * lam + st + 0.5)
@@ -216,24 +218,27 @@ def _crossing_ratio(params, data, lam):
     return num / den
 
 
-def scalar_crossing_residual(params, data, lam):
+def scalar_crossing_residual(data, lam):
     """Residual of T(lam+i) T(-lam+i) * (Casimir ratio) = 1."""
     lam = complex(lam)
-    left = amplitudes.transmission_amplitude(params, data, lam + 1j).value
-    right = amplitudes.transmission_amplitude(params, data, -lam + 1j).value
-    return abs(left * right * _crossing_ratio(params, data, lam) - 1.0)
+    left = amplitudes.transmission_amplitude(data, lam + 1j).value
+    right = amplitudes.transmission_amplitude(data, -lam + 1j).value
+    return abs(left * right * _crossing_ratio(data, lam) - 1.0)
 
 
-def rtt_residual(params, data, lam1, lam2):
-    """Exchange-algebra residual S12 T1 T2 = T2 T1 S12.
+def rtt_residual(data, lam1, lam2):
+    """Residual of S12(l1-l2) T1(l1) T2(l2) = T2(l2) T1(l1) S12(l1-l2).
 
     Only regimes with a finite shifted-spin representation can realize
-    the matrices; amplitudes.shifted_spin_rep raises NotRealizable for
+    the matrices; amplitudes.transmission_matrix raises NotRealizable for
     the others, the attractive regime among them.
     """
-    rep = amplitudes.shifted_spin_rep(params, data)
-    return amplitudes.transmission_rtt_residual(params, data, rep,
-                                                lam1, lam2)
+    lhs, rhs = exchange_sides(
+        amplitudes.s_matrix(data.params, lam1 - lam2),
+        amplitudes.transmission_matrix(data, lam1),
+        amplitudes.transmission_matrix(data, lam2))
+    scale = max(np.max(np.abs(lhs)), 1e-30)
+    return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
 def m_matrix_casimir_identity(params, rep, lam):
@@ -269,7 +274,7 @@ def m_matrix_casimir_identity(params, rep, lam):
     return max(r1, r2, r3)
 
 
-def transmission_eigenvalue_check(params, data, rep, lam_hat):
+def transmission_eigenvalue_check(data, lam_hat):
     """Ratio of the two transmission eigenvalues read off the matrix.
 
     Diagonalizes the transmission matrix, clusters its eigenvalues (the
@@ -281,7 +286,8 @@ def transmission_eigenvalue_check(params, data, rep, lam_hat):
     if data.shifted_spin < 0.25:
         raise DomainError(
             "shifted spin 0 carries a single eigenvalue; no ratio to check")
-    tmat = amplitudes.transmission_matrix(params, data, rep, lam_hat)
+    tmat = amplitudes.transmission_matrix(data, lam_hat)
+    dim = tmat.shape[0] // 2  # 2S~+1
     evals = np.linalg.eigvals(tmat)
     scale = float(np.max(np.abs(evals)))
     clusters = []
@@ -298,10 +304,10 @@ def transmission_eigenvalue_check(params, data, rep, lam_hat):
             "the rapidity is too close to a degeneracy")
     clusters.sort(key=len, reverse=True)
     n_major, n_minor = len(clusters[0]), len(clusters[1])
-    if (n_major, n_minor) != (rep.dim + 1, rep.dim - 1):
+    if (n_major, n_minor) != (dim + 1, dim - 1):
         raise DegenerateSpectrum(
             f"cluster sizes {(n_major, n_minor)} do not match the "
-            f"expected split {(rep.dim + 1, rep.dim - 1)}")
+            f"expected split {(dim + 1, dim - 1)}")
     major = complex(np.mean(clusters[0]))
     minor = complex(np.mean(clusters[1]))
     ratio_matrix = minor / major

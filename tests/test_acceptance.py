@@ -169,20 +169,16 @@ def test_criterion_05_product_integral_duality():
         assert data.branch_index == m
         gap_over_grid(
             label,
-            lambda lam, p=params, d=data:
-                amp.transmission_amplitude(p, d, lam).value,
-            lambda lam, p=params, d=data:
-                amp.transmission_by_integral(p, d, lam).value)
+            lambda lam, d=data: amp.transmission_amplitude(d, lam).value,
+            lambda lam, d=data: amp.transmission_by_integral(d, lam).value)
 
     data_b = amp.DefectRegimeData.from_params(ATT4, 1.0)
-    eta1, eta2 = data_b.breather_shifts
     gap_over_grid("S_b(1,1)",
                   lambda lam: amp.breather_S(1, 1, lam, data_b.gamma),
                   lambda lam: amp.breather_S_by_integral(ATT4, lam).value)
     gap_over_grid("T_b(1)",
-                  lambda lam: amp.breather_T(1, lam, data_b.gamma, eta1, eta2),
-                  lambda lam: amp.breather_T_by_integral(
-                      ATT4, data_b, lam).value)
+                  lambda lam: amp.breather_T(data_b, 1, lam),
+                  lambda lam: amp.breather_T_by_integral(data_b, lam).value)
 
     summary = ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
     note(f"criterion 5: duality gaps (tol 1e-8): {summary}")
@@ -200,15 +196,15 @@ def test_criterion_06_scalar_unitarity_crossing():
         for S in (0.5, 1.0, 1.5):
             data = amp.DefectRegimeData.from_params(params, S)
             worst_u = max(worst_u,
-                          max(pc.scalar_unitarity_residual(params, data, x)
+                          max(pc.scalar_unitarity_residual(data, x)
                               for x in grid))
             worst_c = max(worst_c,
-                          max(pc.scalar_crossing_residual(params, data, x)
+                          max(pc.scalar_crossing_residual(data, x)
                               for x in grid))
     for S in (0.5, 1.0, 1.5):
         data = amp.DefectRegimeData.from_params(ATT4, S)
         worst_u = max(worst_u,
-                      max(pc.scalar_unitarity_residual(ATT4, data, x)
+                      max(pc.scalar_unitarity_residual(data, x)
                           for x in grid))
     note(f"criterion 6: unitarity worst {worst_u:.3e}, crossing worst "
          f"{worst_c:.3e} (tol 1e-9; attractive crossing companion "
@@ -230,14 +226,13 @@ def test_criterion_07_matrix_checks():
         for _ in range(6):
             l1, l2 = rng.uniform(-1.5, 1.5, size=2)
             worst_rtt = max(worst_rtt,
-                            pc.rtt_residual(params, data, l1, l2))
+                            pc.rtt_residual(data, l1, l2))
 
     grid = np.linspace(0.15, 2.0, 12)
     worst_mat = 0.0
     for params, S in cases:
         data = amp.DefectRegimeData.from_params(params, S)
-        rep = amp.shifted_spin_rep(params, data)
-        tfn = functools.partial(amp.transmission_matrix, params, data, rep)
+        tfn = functools.partial(amp.transmission_matrix, data)
         worst_mat = max(worst_mat,
                         max(pc.matrix_unitarity_residual(tfn, x)
                             for x in grid),
@@ -304,10 +299,8 @@ def test_criterion_09_transmission_eigenvalue_ratio():
     worst = 0.0
     for S in (1.0, 1.5):
         data = amp.DefectRegimeData.from_params(XXX, S)
-        rep = amp.shifted_spin_rep(XXX, data)
         for lam_hat in (-1.2, 0.3, 0.7, 1.6):
-            _, _, res = pc.transmission_eigenvalue_check(
-                XXX, data, rep, lam_hat)
+            _, _, res = pc.transmission_eigenvalue_check(data, lam_hat)
             worst = max(worst, res)
     note(f"criterion 9: eigenvalue ratio worst {worst:.3e} (tol 1e-10)")
     assert worst <= 1e-10
@@ -319,7 +312,6 @@ def test_criterion_10_fusion_and_defect_field_form():
     amplitude under the variable map to 1e-9."""
     data = amp.DefectRegimeData.from_params(ATT4, 1.0)
     g = data.gamma
-    eta1, eta2 = data.breather_shifts
     worst_fusion = 0.0
     for lam in (0.3, 0.85, 1.6):
         worst_fusion = max(
@@ -327,9 +319,9 @@ def test_criterion_10_fusion_and_defect_field_form():
             abs(amp.breather_S(2, 1, lam, g)
                 - amp.breather_S(1, 1, lam + 0.5j, g)
                 * amp.breather_S(1, 1, lam - 0.5j, g)),
-            abs(amp.breather_T(2, lam, g, eta1, eta2)
-                - amp.breather_T(1, lam + 0.5j, g, eta1, eta2)
-                * amp.breather_T(1, lam - 0.5j, g, eta1, eta2)))
+            abs(amp.breather_T(data, 2, lam)
+                - amp.breather_T(data, 1, lam + 0.5j)
+                * amp.breather_T(data, 1, lam - 0.5j)))
 
     worst_corr = 0.0
     for offset in (0.0, 0.3):
@@ -338,7 +330,7 @@ def test_criterion_10_fusion_and_defect_field_form():
         for lam_hat in (0.4, 1.3):
             z1, z2 = amp.corrigan_variables(d, lam_hat)
             t_corr, _ = amp.corrigan_form(z1, z2, d.gamma)
-            t_amp = amp.transmission_amplitude(ATT4, d, lam_hat).value
+            t_amp = amp.transmission_amplitude(d, lam_hat).value
             worst_corr = max(worst_corr, abs(t_corr.value - t_amp))
     note(f"criterion 10: fusion worst {worst_fusion:.3e} (tol 1e-10), "
          f"defect-field vs transmission worst {worst_corr:.3e} (tol 1e-9)")

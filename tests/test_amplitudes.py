@@ -42,15 +42,14 @@ from defectbethe.amplitudes import (
     transmission_matrix,
     transmission_product_spec_attractive,
     transmission_product_spec_repulsive,
-    transmission_rtt_residual,
 )
 from defectbethe.errors import (
     DomainError,
     NotRealizable,
     PoleError,
-    RepMismatch,
 )
 from defectbethe.lax_operators import yang_baxter_residual
+from defectbethe.physics_checks import rtt_residual
 from defectbethe.spin_algebra import (
     ATTRACTIVE,
     REPULSIVE,
@@ -75,7 +74,8 @@ REP16 = ModelParameters.xxz(math.pi / 1.6, REPULSIVE)    # nu = 1.6, gamma = 5/3
 
 def test_regime_data_rational(xxx):
     data = DefectRegimeData.from_params(xxx, 1.5)
-    assert data.regime == "rational"
+    assert data.params is xxx
+    assert (data.regime, data.gamma) == ("rational", 0.0)
     assert data.shifted_spin == 1.0
     assert data.branch_index == 0
     assert data.coupling is None
@@ -85,7 +85,8 @@ def test_regime_data_rational(xxx):
 
 def test_regime_data_repulsive(repulsive4):
     data = DefectRegimeData.from_params(repulsive4, 1.0)
-    assert data.regime == REPULSIVE
+    assert data.params is repulsive4
+    assert (data.regime, data.gamma) == (REPULSIVE, repulsive4.gamma)
     assert data.branch_index == 0
     assert abs(data.shifted_spin - 0.5) < 1e-12
     data = DefectRegimeData.from_params(REP16, 2.0)
@@ -95,7 +96,8 @@ def test_regime_data_repulsive(repulsive4):
 
 def test_regime_data_attractive(attractive4):
     data = DefectRegimeData.from_params(attractive4, 1.0, rapidity_offset=0.3)
-    assert data.regime == ATTRACTIVE
+    assert data.params is attractive4
+    assert (data.regime, data.gamma) == (ATTRACTIVE, attractive4.gamma)
     assert data.branch_index == 0
     assert data.shifted_spin == 0.0
     assert abs(data.coupling - (1.0 + 1.5)) < 1e-12
@@ -220,8 +222,8 @@ def test_state_density_finite_size_scaling(xxx):
     data = DefectRegimeData.from_params(xxx, 1.0)
     lam = 0.7
     eps, _ = hole_dispersion(xxx, lam)
-    d1 = state_density(xxx, data, 0.3, holes=[0.1], lam=lam, N=64)
-    d2 = state_density(xxx, data, 0.3, holes=[0.1], lam=lam, N=128)
+    d1 = state_density(data, 0.3, holes=[0.1], lam=lam, N=64)
+    d2 = state_density(data, 0.3, holes=[0.1], lam=lam, N=128)
     assert abs(d2 - eps) < abs(d1 - eps)
     assert abs((d1 - eps) / (d2 - eps) - 2.0) < 1e-6  # strict 1/N correction
 
@@ -271,8 +273,8 @@ def test_s_matrix_pole(xxx):
 def test_transmission_duality_rational(xxx, S):
     data = DefectRegimeData.from_params(xxx, S)
     for lam_hat in (0.25, 0.9, 2.1):
-        closed = transmission_amplitude(xxx, data, lam_hat).value
-        integral = transmission_by_integral(xxx, data, lam_hat).value
+        closed = transmission_amplitude(data, lam_hat).value
+        integral = transmission_by_integral(data, lam_hat).value
         assert abs(closed - integral) < 1e-9
 
 
@@ -283,26 +285,20 @@ def test_transmission_duality_trig_branches(repulsive4, attractive4):
         data = DefectRegimeData.from_params(params, S)
         assert data.branch_index == m
         for lam_hat in (0.3, 1.1, 2.4):
-            closed = transmission_amplitude(params, data, lam_hat).value
-            integral = transmission_by_integral(params, data, lam_hat).value
+            closed = transmission_amplitude(data, lam_hat).value
+            integral = transmission_by_integral(data, lam_hat).value
             assert abs(closed - integral) < 1e-9, (params.regime, S, lam_hat)
-
-
-def test_transmission_regime_mismatch(xxx, repulsive4):
-    data = DefectRegimeData.from_params(xxx, 1.0)
-    with pytest.raises(DomainError):
-        transmission_amplitude(repulsive4, data, 0.5)
 
 
 def test_transmission_matrix_rational(xxx):
     data = DefectRegimeData.from_params(xxx, 1.5)  # shifted spin 1
-    rep = shifted_spin_rep(xxx, data)
+    rep = shifted_spin_rep(data)
     assert rep.spin == 1.0 and rep.deformation is None
     lam_hat = 0.8
-    tmat = transmission_matrix(xxx, data, rep, lam_hat)
+    tmat = transmission_matrix(data, lam_hat)
     # eigenvalues cluster on T (multiplicity 2S~+2) and T2 (multiplicity 2S~)
     vals = np.linalg.eigvals(tmat)
-    t1 = transmission_amplitude(xxx, data, lam_hat).value
+    t1 = transmission_amplitude(data, lam_hat).value
     t2 = t1 * transmission_eigenvalue_ratio(data, lam_hat)
     n1 = int(np.sum(np.abs(vals - t1) < 1e-10))
     n2 = int(np.sum(np.abs(vals - t2) < 1e-10))
@@ -311,29 +307,15 @@ def test_transmission_matrix_rational(xxx):
 
 def test_transmission_matrix_large_rapidity_limit(xxx):
     data = DefectRegimeData.from_params(xxx, 1.0)
-    rep = shifted_spin_rep(xxx, data)
-    tmat = transmission_matrix(xxx, data, rep, 50.0)
+    rep = shifted_spin_rep(data)
+    tmat = transmission_matrix(data, 50.0)
     assert np.max(np.abs(tmat - 1j * np.eye(2 * rep.dim))) < 0.05
-
-
-def test_transmission_matrix_rep_mismatch(xxx, repulsive4):
-    data = DefectRegimeData.from_params(xxx, 1.5)
-    with pytest.raises(RepMismatch):
-        transmission_matrix(xxx, data, build_rep(0.5, xxx), 0.4)
-    with pytest.raises(RepMismatch):
-        transmission_matrix(xxx, data, None, 0.4)
-    # repulsive matrix insists on the renormalized deformation pi*gamma
-    data_r = DefectRegimeData.from_params(repulsive4, 1.0)
-    with pytest.raises(RepMismatch):
-        transmission_matrix(repulsive4, data_r,
-                            build_rep(0.5, repulsive4), 0.4)
 
 
 def test_transmission_rtt(xxx, repulsive4):
     for params, S in ((xxx, 1.0), (xxx, 1.5), (repulsive4, 1.0)):
         data = DefectRegimeData.from_params(params, S)
-        rep = shifted_spin_rep(params, data)
-        res = transmission_rtt_residual(params, data, rep, 0.45, -0.65)
+        res = rtt_residual(data, 0.45, -0.65)
         assert res < 1e-11
 
 
@@ -396,19 +378,19 @@ def test_shifted_spin_rep_not_realizable_outside_window():
     # nu = pi/2: pi*gamma = 1.75 pi lies outside (0, pi)
     params = ModelParameters.xxz(2.0, REPULSIVE)
     with pytest.raises(NotRealizable):
-        shifted_spin_rep(params, DefectRegimeData.from_params(params, 1.0))
+        shifted_spin_rep(DefectRegimeData.from_params(params, 1.0))
     # nu = pi/1.1: the shifted spin-1 rep degenerates at pi*gamma
     params = ModelParameters.xxz(1.1, REPULSIVE)
     with pytest.raises(NotRealizable):
-        shifted_spin_rep(params, DefectRegimeData.from_params(params, 1.5))
+        shifted_spin_rep(DefectRegimeData.from_params(params, 1.5))
 
 
 def test_attractive_matrix_not_realizable(attractive4):
     data = DefectRegimeData.from_params(attractive4, 1.0)
     with pytest.raises(NotRealizable, match="infinite-dimensional"):
-        transmission_matrix(attractive4, data, None, 0.4)
+        transmission_matrix(data, 0.4)
     with pytest.raises(NotRealizable):
-        shifted_spin_rep(attractive4, data)
+        shifted_spin_rep(data)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +473,7 @@ def test_rational_grids_match_pointwise_closed_form(xxx):
     data = DefectRegimeData.from_params(xxx, 1.5)
     st = data.shifted_spin
     for lam, kink, trans in zip(lams, kink_S_amplitudes(xxx, lams),
-                                transmission_amplitudes(xxx, data, lams)):
+                                transmission_amplitudes(data, lams)):
         x = complex(lam)
         k_ref = np.exp(log_gamma(-0.5j * x + 0.5) + log_gamma(0.5j * x + 1.0)
                        - log_gamma(-0.5j * x + 1.0)
@@ -511,7 +493,7 @@ def test_transmission_sweep_memory_is_bounded():
     lams = np.linspace(-3.0, 3.0, 400)
     tracemalloc.start()
     try:
-        out = transmission_amplitudes(ATT16, data, lams)
+        out = transmission_amplitudes(data, lams)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -531,7 +513,7 @@ def test_corrigan_matches_transmission(attractive4, offset):
     for lam_hat in (0.4, 1.3):
         z1, z2 = corrigan_variables(data, lam_hat)
         t_corr, rho = corrigan_form(z1, z2, data.gamma)
-        t_amp = transmission_amplitude(attractive4, data, lam_hat).value
+        t_amp = transmission_amplitude(data, lam_hat).value
         assert abs(t_corr.value - t_amp) < 1e-9
         assert rho.err < 1e-6
 
@@ -565,10 +547,9 @@ def test_breather_S_duality(attractive4):
 
 def test_breather_T_duality(attractive4):
     data = DefectRegimeData.from_params(attractive4, 1.0)
-    eta1, eta2 = data.breather_shifts
     for lam_hat in (0.35, 1.05, 2.0):
-        closed = breather_T(1, lam_hat, data.gamma, eta1, eta2)
-        integral = breather_T_by_integral(attractive4, data, lam_hat).value
+        closed = breather_T(data, 1, lam_hat)
+        integral = breather_T_by_integral(data, lam_hat).value
         assert abs(closed - integral) < 1e-9
 
 
@@ -580,10 +561,8 @@ def test_breather_fusion(attractive4):
     assert abs(fused - direct) < 1e-11
 
     data = DefectRegimeData.from_params(attractive4, 1.0)
-    eta1, eta2 = data.breather_shifts
-    fused = breather_T(2, lam, g, eta1, eta2)
-    direct = breather_T(1, lam + 0.5j, g, eta1, eta2) \
-        * breather_T(1, lam - 0.5j, g, eta1, eta2)
+    fused = breather_T(data, 2, lam)
+    direct = breather_T(data, 1, lam + 0.5j) * breather_T(data, 1, lam - 0.5j)
     assert abs(fused - direct) < 1e-11
 
 
@@ -605,10 +584,10 @@ def test_integral_routes_refuse_complex_rapidity(xxx, attractive4, route,
     call = {
         "kink": lambda: kink_S_by_integral(xxx, lam),
         "transmission": lambda: transmission_by_integral(
-            xxx, DefectRegimeData.from_params(xxx, 1.0), lam),
+            DefectRegimeData.from_params(xxx, 1.0), lam),
         "breather-s": lambda: breather_S_by_integral(attractive4, lam),
         "breather-t": lambda: breather_T_by_integral(
-            attractive4, DefectRegimeData.from_params(attractive4, 1.0), lam),
+            DefectRegimeData.from_params(attractive4, 1.0), lam),
     }[route]
     with pytest.raises(DomainError, match="needs a real rapidity"):
         call()
@@ -619,6 +598,6 @@ def test_breather_label_validation(attractive4):
     with pytest.raises(DomainError):
         breather_S(0, 1, 0.5, attractive4.gamma)
     with pytest.raises(DomainError):
-        breather_T(0, 0.5, attractive4.gamma, *data.breather_shifts)
+        breather_T(data, 0, 0.5)
     with pytest.raises(DomainError):
         breather_S_by_integral(attractive4, 0.5 + 0.2j)

@@ -104,6 +104,24 @@ def test_verify_repulsive_unrealizable_matrix_is_scalar_only(
     assert all(r["params"]["passed"] for r in recs)
 
 
+@pytest.mark.parametrize("what, code", [
+    ("unitarity", 0), ("crossing", 0), ("rtt", 2)])
+def test_verify_rep_above_cap_is_scalar_only(capsys, monkeypatch, what,
+                                             code):
+    # the shifted spin-99999.5 rep exceeds the cap: unitarity and crossing
+    # keep their scalar check, rtt needs the matrix and is refused
+    monkeypatch.delenv("DEFECTBETHE_MAX_DIM", raising=False)
+    got, out, err = run_cli(capsys, [
+        "verify", what, "--spin", "1e5", "--samples", "2"])
+    assert got == code
+    if code == 0:
+        (rec,) = json_lines(out)
+        assert rec["params"]["matrix_checked"] is False
+        assert rec["params"]["passed"] and err == ""
+    else:
+        assert "exceeds cap 16384" in json.loads(err)["error"]
+
+
 def test_verify_rtt_unrealizable_is_domain_error(capsys):
     code, out, err = run_cli(capsys, [
         "verify", "rtt", "--model", "xxz", "--mu", "2.0",
@@ -328,6 +346,9 @@ def test_unread_option_is_usage_error(capsys, argv, option):
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
     assert f"unrecognized arguments: {option}" in err
+    # the usage line is the refusing command's own, listing what it takes
+    leaf = argv[:2] if argv[0] in ("amp", "chain") else argv[:1]
+    assert err.startswith(f"usage: defectbethe {' '.join(leaf)} [-h]")
 
 
 # record fields that are no option: the route, the chain's eigenvalue index

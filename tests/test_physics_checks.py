@@ -17,8 +17,7 @@ GRID = np.linspace(0.15, 2.0, 8)
 
 def _tfn(params, spin):
     data = amp.DefectRegimeData.from_params(params, spin)
-    rep = amp.shifted_spin_rep(params, data)
-    return functools.partial(amp.transmission_matrix, params, data, rep), data
+    return functools.partial(amp.transmission_matrix, data), data
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +116,19 @@ def test_matrix_residuals_detect_perturbation(xxx):
 def test_scalar_identities_rational_and_repulsive(xxx, repulsive4, S):
     for params in (xxx, repulsive4):
         data = amp.DefectRegimeData.from_params(params, S)
-        assert max(pc.scalar_unitarity_residual(params, data, x)
+        assert max(pc.scalar_unitarity_residual(data, x)
                    for x in GRID) <= 1e-9
-        assert max(pc.scalar_crossing_residual(params, data, x)
+        assert max(pc.scalar_crossing_residual(data, x)
                    for x in GRID) <= 1e-9
 
 
 def test_scalar_identities_attractive(attractive4):
     data = amp.DefectRegimeData.from_params(attractive4, 0.5)
-    assert max(pc.scalar_unitarity_residual(attractive4, data, x)
+    assert max(pc.scalar_unitarity_residual(data, x)
                for x in GRID) <= 1e-9
     # no crossing companion is established in this regime
     with pytest.raises(DomainError):
-        pc.scalar_crossing_residual(attractive4, data, 0.5)
+        pc.scalar_crossing_residual(data, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +142,11 @@ def test_rtt_wrapper(xxx, repulsive4, attractive4, rng):
         worst = 0.0
         for _ in range(4):
             l1, l2 = rng.uniform(-1.2, 1.2, size=2)
-            worst = max(worst, pc.rtt_residual(params, data, l1, l2))
+            worst = max(worst, pc.rtt_residual(data, l1, l2))
         assert worst <= 1e-10
     data_a = amp.DefectRegimeData.from_params(attractive4, 0.5)
     with pytest.raises(NotRealizable):
-        pc.rtt_residual(attractive4, data_a, 0.3, 0.7)
+        pc.rtt_residual(data_a, 0.3, 0.7)
 
 
 @pytest.mark.parametrize("S", [0.5, 1.0, 1.5, 2.0])
@@ -169,7 +168,7 @@ def test_m_matrix_casimir_trig(trig, S):
 def test_m_matrix_casimir_renormalized_rep(repulsive4):
     # the repulsive transmission rep carries deformation pi*gamma, not mu
     data = amp.DefectRegimeData.from_params(repulsive4, 1.0)
-    rep = amp.shifted_spin_rep(repulsive4, data)
+    rep = amp.shifted_spin_rep(data)
     assert abs(rep.deformation - math.pi / 3.0) < 1e-12
     worst = max(pc.m_matrix_casimir_identity(repulsive4, rep, x)
                 for x in (0.4, 1.1))
@@ -184,10 +183,9 @@ def test_m_matrix_casimir_renormalized_rep(repulsive4):
 @pytest.mark.parametrize("S", [1.0, 1.5])
 def test_transmission_eigenvalue_ratio_check(xxx, S):
     data = amp.DefectRegimeData.from_params(xxx, S)
-    rep = amp.shifted_spin_rep(xxx, data)
     for lam in (0.3, 0.7, 1.4, -0.9):
         ratio_mat, ratio_closed, res = pc.transmission_eigenvalue_check(
-            xxx, data, rep, lam)
+            data, lam)
         assert res <= 1e-10
         assert abs(ratio_mat - ratio_closed) <= 1e-10
 
@@ -195,6 +193,5 @@ def test_transmission_eigenvalue_ratio_check(xxx, S):
 def test_eigenvalue_ratio_needs_two_clusters(xxx):
     # shifted spin 0 has a single eigenvalue; there is no second cluster
     data = amp.DefectRegimeData.from_params(xxx, 0.5)
-    rep = amp.shifted_spin_rep(xxx, data)
     with pytest.raises(DomainError):
-        pc.transmission_eigenvalue_check(xxx, data, rep, 0.5)
+        pc.transmission_eigenvalue_check(data, 0.5)
