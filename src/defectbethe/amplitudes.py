@@ -64,7 +64,8 @@ class DefectRegimeData:
                        attractive-regime transmission poles (None outside)
     breather_shifts -- (eta_1, eta_2) rapidity shifts of the breather
                        transmission amplitude (attractive only)
-    rapidity_offset -- optional constant absorbed into i*lam_hat
+
+    A constant offset o added to i*lam_hat is the rapidity lam_hat - i*o.
     """
 
     params: ModelParameters
@@ -73,7 +74,6 @@ class DefectRegimeData:
     shifted_spin: float
     coupling: float | None = None
     breather_shifts: tuple | None = None
-    rapidity_offset: float = 0.0
 
     @property
     def regime(self):
@@ -84,23 +84,19 @@ class DefectRegimeData:
         return 0.0 if self.params.is_rational else self.params.gamma
 
     @classmethod
-    def from_params(cls, params, spin, rapidity_offset=0.0):
+    def from_params(cls, params, spin):
         if not 0.0 < 2.0 * spin < math.inf:
             raise DomainError(
                 f"defect spin must be positive with 2S finite, got {spin}")
         m = branch_index(params, spin)
         if params.is_rational or params.regime_name == REPULSIVE:
             return cls(params, spin, branch_index=m,
-                       shifted_spin=spin - m - 0.5,
-                       rapidity_offset=rapidity_offset)
+                       shifted_spin=spin - m - 0.5)
         g = params.gamma
         xi = spin + g / 2.0
-        lam_off = rapidity_offset
-        eta = (1j * math.pi * (lam_off + xi) / g,
-               1j * math.pi * (lam_off - xi) / g)
+        eta = (1j * math.pi * xi / g, 1j * math.pi * -xi / g)
         return cls(params, spin, branch_index=m, shifted_spin=float(m),
-                   coupling=xi, breather_shifts=eta,
-                   rapidity_offset=rapidity_offset)
+                   coupling=xi, breather_shifts=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +363,12 @@ def transmission_amplitudes(data, lam_hats):
     g = data.gamma
     if data.regime == REPULSIVE:
         specs = [transmission_product_spec_repulsive(
-            1j * g * complex(lam_hat) + data.rapidity_offset, g,
-            data.shifted_spin, data.branch_index) for lam_hat in lam_hats]
+            1j * g * complex(lam_hat), g, data.shifted_spin,
+            data.branch_index) for lam_hat in lam_hats]
     else:
         specs = [transmission_product_spec_attractive(
-            1j * complex(lam_hat) + data.rapidity_offset, g, data.coupling,
-            data.branch_index) for lam_hat in lam_hats]
+            1j * complex(lam_hat), g, data.coupling, data.branch_index)
+            for lam_hat in lam_hats]
     return gamma_products(specs)
 
 
@@ -454,16 +450,16 @@ def shifted_spin_rep(data):
 
 
 def corrigan_variables(data, lam_hat):
-    """Map (lam_hat, offset, coupling) to the defect-field arguments.
+    """Map (lam_hat, coupling) to the defect-field arguments.
 
-    Returns (z1, z2) = (-z - xi, -z + xi) with z = i*lam_hat + offset.
+    Returns (z1, z2) = (-z - xi, -z + xi) with z = i*lam_hat.
     Relative to the printed identification this flips the sign of the
     eta constants; the flipped reading is the one that reproduces the
     attractive transmission product numerically.
     """
     if data.regime != ATTRACTIVE:
         raise DomainError("defect-field variables are attractive-regime only")
-    z = 1j * complex(lam_hat) + data.rapidity_offset
+    z = 1j * complex(lam_hat)
     return -z - data.coupling, -z + data.coupling
 
 

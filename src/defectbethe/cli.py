@@ -4,7 +4,7 @@ Four families of subcommands: `verify` runs one-shot residual suites,
 `amp` evaluates scattering and transmission amplitudes (with optional
 product-vs-integral comparison), `chain` diagonalizes finite chains and
 solves their Bethe equations, and `identity` reruns the two gamma
-integral identities.  Records stream to stdout as JSON lines or CSV.
+integral identities.  Records stream to stdout as JSON lines.
 
 Each `amp` kind and each `chain` action has its own parser, built from
 parent parsers (one per option group), holding only the options its code
@@ -16,7 +16,6 @@ fails numerically, 2 on usage or domain errors.
 """
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -33,9 +32,6 @@ from . import spin_chain
 from .errors import (DefectBetheError, DimensionCapExceeded, NonConvergence,
                      NotRealizable, RootOfUnityError)
 from .spin_algebra import (ATTRACTIVE, REPULSIVE, ModelParameters, build_rep)
-
-CSV_FIELDS = ["command", "params", "lambda", "re", "im", "err", "residual",
-              "product_integral_gap"]
 
 
 def _json_default(obj):
@@ -63,28 +59,14 @@ def _record(command, params, lam=None, value=None, err=None, residual=None,
 
 
 class Emitter:
-    """Streams records as JSON lines (default) or CSV rows."""
-
-    def __init__(self, fmt, stream=None):
-        self.fmt = fmt
-        self.stream = stream if stream is not None else sys.stdout
-        self._writer = None
+    """Writes each record as one JSON line to sys.stdout, looked up at each
+    write.  A class, not a function, so that a tracer can wrap
+    Emitter.emit in place and time every record written."""
 
     def emit(self, rec):
-        if self.fmt == "csv":
-            if self._writer is None:
-                self._writer = csv.DictWriter(self.stream,
-                                              fieldnames=CSV_FIELDS,
-                                              extrasaction="ignore")
-                self._writer.writeheader()
-            row = dict(rec)
-            row["params"] = json.dumps(row.get("params", {}), sort_keys=True,
-                                       default=_json_default)
-            self._writer.writerow(row)
-        else:
-            self.stream.write(json.dumps(rec, sort_keys=True,
-                                         default=_json_default) + "\n")
-        self.stream.flush()
+        sys.stdout.write(json.dumps(rec, sort_keys=True,
+                                    default=_json_default) + "\n")
+        sys.stdout.flush()
 
 
 def _echo(args, *skip):
@@ -277,7 +259,7 @@ def _cmd_amp(args, emitter):
         raise DefectBetheError(
             "breathers exist in the attractive trigonometric regime "
             "only; pass --model xxz --regime attractive")
-    base = _echo(args, "command", "format", "lam", "sweep", "tol")
+    base = _echo(args, "command", "lam", "sweep", "tol")
     subject = params
     if args.kind in ("transmission", "breather-t"):
         subject = amp.DefectRegimeData.from_params(params, args.spin)
@@ -359,8 +341,8 @@ def _cmd_chain(args, emitter):
     chain = spin_chain.ChainSpec(N=args.N, defect_spin=args.spin,
                                  params=params, theta=args.theta,
                                  defect_site=args.defect_site)
-    base = {**_echo(args, "command", "format", "action", "regime", "tol",
-                    "seed"), "defect_site": chain.defect_site}
+    base = {**_echo(args, "command", "action", "regime", "tol", "seed"),
+            "defect_site": chain.defect_site}
 
     if args.action == "diagonalize":
         # H conserves total S^z (sector_blocks checks it), so its spectrum
@@ -413,7 +395,7 @@ def _cmd_identity(args, emitter):
         tol = _tolerance(args, 1e-8)
         n = 20 if args.samples is None else args.samples
         for mu in rng.uniform(0.05, 9.95, n):
-            res = sf.verify_gamma_integral_identity("use1", mu)
+            res = sf.identity_use1_residual(mu)
             failed = failed or res > tol
             emitter.emit(_record("identity use1",
                                  {"mu_param": float(mu), "tol": tol,
@@ -425,7 +407,7 @@ def _cmd_identity(args, emitter):
         for _ in range(n):
             mu = float(rng.uniform(0.3, 4.5))
             beta = float(rng.uniform(0.3, 2.5))
-            res = sf.verify_gamma_integral_identity("use2", mu, beta)
+            res = sf.identity_use2_residual(mu, beta)
             failed = failed or res > tol
             emitter.emit(_record("identity use2",
                                  {"mu_param": mu, "beta_param": beta,
@@ -489,7 +471,6 @@ def build_parser():
     tol = _options(tol=dict(type=_finite_nonnegative, help="override the "
                             "default tolerance of every record"))
     seed = _options(seed=dict(type=int, default=0))
-    fmt = _options(format=dict(choices=["json", "csv"], default="json"))
 
     parser = argparse.ArgumentParser(
         prog="defectbethe",
@@ -505,7 +486,7 @@ def build_parser():
                         help="repeatable; defaults depend on the check")
     checks.add_argument("--samples", type=_positive_int, default=20)
     p_verify = subs.add_parser("verify", help="run a residual suite",
-                               parents=[checks, model, regime, tol, seed, fmt])
+                               parents=[checks, model, regime, tol, seed])
     p_verify.set_defaults(fn=_cmd_verify, parser=p_verify)
 
     p_amp = subs.add_parser("amp", help="evaluate an amplitude")
@@ -518,8 +499,8 @@ def build_parser():
     kinds = p_amp.add_subparsers(dest="kind", required=True)
     for kind, own in [("kink", []), ("transmission", [defect]),
                       ("breather-s", [n1, n2]), ("breather-t", [defect, n1])]:
-        leaf = kinds.add_parser(kind, parents=[points, model, regime, tol,
-                                               fmt, *own])
+        leaf = kinds.add_parser(kind,
+                                parents=[points, model, regime, tol, *own])
         leaf.set_defaults(parser=leaf)
 
     p_chain = subs.add_parser("chain", help="finite-chain computations")
@@ -530,12 +511,11 @@ def build_parser():
     magnons = _options(magnons=dict(type=int, default=1))
     actions = p_chain.add_subparsers(dest="action", required=True)
     for action, own in [("diagonalize", []), ("bae", [magnons, tol, seed])]:
-        leaf = actions.add_parser(action,
-                                  parents=[sites, defect, model, fmt, *own])
+        leaf = actions.add_parser(action, parents=[sites, defect, model, *own])
         leaf.set_defaults(parser=leaf)
 
     p_id = subs.add_parser("identity", help="gamma integral identities",
-                           parents=[tol, seed, fmt])
+                           parents=[tol, seed])
     p_id.add_argument("kind", choices=["use1", "use2"])
     p_id.add_argument("--samples", type=_positive_int, default=None)
     p_id.set_defaults(fn=_cmd_identity, parser=p_id)
@@ -555,8 +535,7 @@ def main(argv=None):
     if unread:  # shown with the usage of the command that refused them
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
-        emitter = Emitter(args.format)
-        return args.fn(args, emitter)
+        return args.fn(args, Emitter())
     except BrokenPipeError:
         # downstream consumer closed the pipe (e.g. piping into head);
         # point stdout at devnull so interpreter shutdown stays quiet

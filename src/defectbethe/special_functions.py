@@ -13,7 +13,7 @@ These three primitives carry all scalar amplitude evaluations in the package:
                         reduced to a real half-line quadrature.
 
 Two regularized Gamma/integral identities used as cross-checks of the whole
-stack live here as verify_gamma_integral_identity.
+stack live here as identity_use1_residual and identity_use2_residual.
 """
 
 from __future__ import annotations
@@ -358,7 +358,14 @@ _OMEGA_LADDER = (40.0, 80.0, 160.0, 320.0, 640.0, 1280.0)
 def _cutoff_for(kernel):
     """Pick an upper limit where the (decaying) kernel is negligible."""
     for omega in _OMEGA_LADDER:
-        if abs(kernel(omega)) < 0.01 * _QUAD_TOL:
+        # the kernel's sinh and cosh factors grow with |omega|, so only a
+        # probe can overflow: quad stays below the cutoff probed last
+        try:
+            value = kernel(omega)
+        except OverflowError as exc:
+            raise NonConvergence("kernel overflows double precision at "
+                                 f"omega={omega}") from exc
+        if abs(value) < 0.01 * _QUAD_TOL:
             return omega
     raise NonConvergence(
         f"kernel does not decay below {0.01 * _QUAD_TOL} by "
@@ -438,17 +445,38 @@ def inverse_fourier_even(kernel, x):
 # ---------------------------------------------------------------------------
 
 
-def verify_gamma_integral_identity(kind, mu_param, beta_param=None):
-    """Residual of a regularized exponential-integral vs Gamma identity.
-
-    kind='use1' (mu_param > -1):
+def identity_use1_residual(mu):
+    """Residual of a regularized exponential-integral vs Gamma identity,
+    for mu > -1:
         (1/2) int_0^inf dw/w [ e^{-mu w/2}/cosh(w/2) - e^{-2w} ]
             = ln Gamma((mu+1)/4) - ln Gamma((mu+3)/4).
     The e^{-2w} subtraction makes the integral absolutely convergent; it is
     exactly the counterterm of the classical Malmsten representation of
     log Gamma, so the identity is exact as written.
 
-    kind='use2' (mu_param > 0, beta_param > 0):
+    Returns |LHS - RHS|.  Raises NonConvergence, with quad's message, when
+    the quadrature fails.
+    """
+    mu = float(mu)
+    if mu <= -1.0:
+        raise ValueError("use1 requires mu > -1")
+
+    def integrand(w):
+        if w < 1e-8:
+            # e^{-mu w/2}/cosh(w/2) - e^{-2w} = (2 - mu/2) w + O(w^2)
+            return 0.5 * (2.0 - 0.5 * mu)
+        return 0.5 * (math.exp(-0.5 * mu * w) / math.cosh(0.5 * w)
+                      - math.exp(-2.0 * w)) / w
+
+    upper = max(40.0, 80.0 / (1.0 + mu))
+    lhs, _, _ = _half_line_quad(integrand, 0.0, upper, 1e-9)
+    rhs = (log_gamma((mu + 1.0) / 4.0) - log_gamma((mu + 3.0) / 4.0)).real
+    return abs(lhs - rhs)
+
+
+def identity_use2_residual(mu, beta):
+    """Residual of a regularized integral vs Gamma-product identity, for
+    mu > 0 and beta > 0:
         (1/4) int_0^inf dx/x  D3[e^{-mu x}] / (sinh x sinh(beta x))
             = D3[ sum_{k>=0} ln Gamma(mu/2 + beta/2 + k beta + 1/2) ],
     where D3 is the third finite difference in mu with unit step,
@@ -457,52 +485,28 @@ def verify_gamma_integral_identity(kind, mu_param, beta_param=None):
     cancels the x->0 divergence (and the matching divergence of the
     product) without touching the mu-dependence being tested.  The right
     side is evaluated through gamma_product, the left through quadrature:
-    two independent code paths.
-
-    Returns |LHS - RHS|.  Raises NonConvergence, with quad's message, when
-    the quadrature fails.
+    two independent code paths.  Returns and raises as
+    identity_use1_residual does.
     """
-    if kind == "use1":
-        mu = float(mu_param)
-        if mu <= -1.0:
-            raise ValueError("use1 requires mu_param > -1")
+    mu, beta = float(mu), float(beta)
+    if mu <= 0.0 or beta <= 0.0:
+        raise ValueError("use2 requires mu > 0 and beta > 0")
+    coeff = (1.0, -3.0, 3.0, -1.0)
 
-        def integrand(w):
-            if w < 1e-8:
-                # e^{-mu w/2}/cosh(w/2) - e^{-2w} = (2 - mu/2) w + O(w^2)
-                return 0.5 * (2.0 - 0.5 * mu)
-            return 0.5 * (math.exp(-0.5 * mu * w) / math.cosh(0.5 * w)
-                          - math.exp(-2.0 * w)) / w
+    def integrand(x):
+        if x < 1e-6:
+            # D3[e^{-mu x}] = -x^3 e^{-mu x} (1 + O(x));  1/(sinh x sinh bx) ~ 1/(b x^2)
+            return -0.25 * math.exp(-mu * x) * x / beta if x > 0 else 0.0
+        d3 = sum(c * math.exp(-(mu + j) * x) for j, c in enumerate(coeff))
+        return 0.25 * d3 / (x * math.sinh(x) * math.sinh(beta * x))
 
-        upper = max(40.0, 80.0 / (1.0 + mu))
-        lhs, _, _ = _half_line_quad(integrand, 0.0, upper, 1e-9)
-        rhs = (log_gamma((mu + 1.0) / 4.0) - log_gamma((mu + 3.0) / 4.0)).real
-        return abs(lhs - rhs)
+    upper = max(40.0, 80.0 / (1.0 + mu))
+    lhs, _, _ = _half_line_quad(integrand, 0.0, upper, 1e-9)
 
-    if kind == "use2":
-        if beta_param is None:
-            raise ValueError("use2 requires beta_param")
-        mu, beta = float(mu_param), float(beta_param)
-        if mu <= 0.0 or beta <= 0.0:
-            raise ValueError("use2 requires mu_param > 0 and beta_param > 0")
-        coeff = (1.0, -3.0, 3.0, -1.0)
-
-        def integrand(x):
-            if x < 1e-6:
-                # D3[e^{-mu x}] = -x^3 e^{-mu x} (1 + O(x));  1/(sinh x sinh bx) ~ 1/(b x^2)
-                return -0.25 * math.exp(-mu * x) * x / beta if x > 0 else 0.0
-            d3 = sum(c * math.exp(-(mu + j) * x) for j, c in enumerate(coeff))
-            return 0.25 * d3 / (x * math.sinh(x) * math.sinh(beta * x))
-
-        upper = max(40.0, 80.0 / (1.0 + mu))
-        lhs, _, _ = _half_line_quad(integrand, 0.0, upper, 1e-9)
-
-        # D3 of the log-product, as one balanced product of Gamma factors
-        signs, offsets = zip(*[
-            (int(math.copysign(1, c)), 0.5 * (mu + j) + (0.5 * beta + 0.5))
-            for j, c in enumerate(coeff) for _ in range(int(abs(c)))])
-        spec = GammaProductSpec(signs=signs, offsets=offsets, step=beta)
-        rhs = math.log(abs(gamma_product(spec).value))
-        return abs(lhs - rhs)
-
-    raise ValueError(f"unknown identity kind {kind!r}")
+    # D3 of the log-product, as one balanced product of Gamma factors
+    signs, offsets = zip(*[
+        (int(math.copysign(1, c)), 0.5 * (mu + j) + (0.5 * beta + 0.5))
+        for j, c in enumerate(coeff) for _ in range(int(abs(c)))])
+    spec = GammaProductSpec(signs=signs, offsets=offsets, step=beta)
+    rhs = math.log(abs(gamma_product(spec).value))
+    return abs(lhs - rhs)

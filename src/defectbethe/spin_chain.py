@@ -324,7 +324,7 @@ def bae_residual(chain, state):
     return float(np.max(np.abs(p - 1.0)))
 
 
-def solve_bae(chain, M, seeds=None):
+def solve_bae(chain, M, seeds):
     """Newton iteration on the product form of the Bethe equations.
 
     Works directly with F_i = P_i - 1 = 0 where P_i is the full phase
@@ -339,8 +339,6 @@ def solve_bae(chain, M, seeds=None):
         raise ValueError("M must be >= 1")
     params = chain.params
     y = 2.0 * chain.defect_spin
-    if seeds is None:
-        seeds = string_seed(0.2, M)
     roots = np.array(seeds, dtype=complex)
     if len(roots) != M:
         raise ValueError("need exactly M seeds")

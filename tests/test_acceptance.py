@@ -20,7 +20,8 @@ from defectbethe.spin_algebra import (ATTRACTIVE, REPULSIVE, ModelParameters,
                                       build_rep)
 from defectbethe.spin_chain import (ChainSpec, hamiltonian, solve_bae,
                                     transfer)
-from defectbethe.special_functions import verify_gamma_integral_identity
+from defectbethe.special_functions import (identity_use1_residual,
+                                           identity_use2_residual)
 
 XXX = ModelParameters.xxx()
 TRIG = ModelParameters.xxz(0.3)
@@ -128,13 +129,13 @@ def test_criterion_04_gamma_integral_identities():
     """use1 <= 1e-8 at 20 points of mu in (0, 10); use2 <= 1e-6 at 10
     (mu, beta) pairs."""
     rng = np.random.default_rng(23)
-    worst1 = max(verify_gamma_integral_identity("use1", mu)
+    worst1 = max(identity_use1_residual(mu)
                  for mu in rng.uniform(0.05, 9.95, 20))
     worst2 = 0.0
     for _ in range(10):
         mu = float(rng.uniform(0.3, 4.5))
         beta = float(rng.uniform(0.3, 2.5))
-        worst2 = max(worst2, verify_gamma_integral_identity("use2", mu, beta))
+        worst2 = max(worst2, identity_use2_residual(mu, beta))
     note(f"criterion 4: use1 worst {worst1:.3e} (tol 1e-8), "
          f"use2 worst {worst2:.3e} (tol 1e-6)")
     assert worst1 <= 1e-8
@@ -325,9 +326,8 @@ def test_criterion_10_fusion_and_defect_field_form():
 
     worst_corr = 0.0
     for offset in (0.0, 0.3):
-        d = amp.DefectRegimeData.from_params(ATT4, 1.0,
-                                             rapidity_offset=offset)
-        for lam_hat in (0.4, 1.3):
+        d = amp.DefectRegimeData.from_params(ATT4, 1.0)
+        for lam_hat in (0.4 - 1j * offset, 1.3 - 1j * offset):
             z1, z2 = amp.corrigan_variables(d, lam_hat)
             t_corr, _ = amp.corrigan_form(z1, z2, d.gamma)
             t_amp = amp.transmission_amplitude(d, lam_hat).value

@@ -95,15 +95,15 @@ def test_regime_data_repulsive(repulsive4):
 
 
 def test_regime_data_attractive(attractive4):
-    data = DefectRegimeData.from_params(attractive4, 1.0, rapidity_offset=0.3)
+    data = DefectRegimeData.from_params(attractive4, 1.0)
     assert data.params is attractive4
     assert (data.regime, data.gamma) == (ATTRACTIVE, attractive4.gamma)
     assert data.branch_index == 0
     assert data.shifted_spin == 0.0
     assert abs(data.coupling - (1.0 + 1.5)) < 1e-12
     eta1, eta2 = data.breather_shifts
-    assert abs(eta1 - 1j * math.pi * (0.3 + 2.5) / 3.0) < 1e-12
-    assert abs(eta2 - 1j * math.pi * (0.3 - 2.5) / 3.0) < 1e-12
+    assert abs(eta1 - 1j * math.pi * 2.5 / 3.0) < 1e-12
+    assert abs(eta2 + 1j * math.pi * 2.5 / 3.0) < 1e-12
 
     data = DefectRegimeData.from_params(ATT16, 1.0)
     assert data.branch_index == 1
@@ -422,12 +422,13 @@ def _reference_product(spec, tol=1e-12):
 
 def _engine_grid(repulsive4, attractive4):
     """Kink, both transmission ladders and renormalized defect-field
-    ladders over one grid; K runs from 64 to 512 across it."""
+    ladders (at rapidities offset by -0.3i) over one grid; K runs from 64
+    to 512 across it."""
     lams = np.linspace(-3.0, 3.0, 13)
     g16 = ATT16.gamma
     rep = DefectRegimeData.from_params(repulsive4, 1.0)
     att = DefectRegimeData.from_params(ATT16, 0.5)
-    cor = DefectRegimeData.from_params(attractive4, 1.0, rapidity_offset=0.3)
+    cor = DefectRegimeData.from_params(attractive4, 1.0)
     specs = []
     for lam in lams:
         specs.append(kink_product_spec(1j * lam, g16))
@@ -435,8 +436,8 @@ def _engine_grid(repulsive4, attractive4):
             1j * rep.gamma * lam, rep.gamma, rep.shifted_spin, 0))
         specs.append(transmission_product_spec_attractive(
             1j * lam, g16, att.coupling, 0))
-        specs.append(corrigan_product_spec(*corrigan_variables(cor, lam),
-                                           cor.gamma))
+        specs.append(corrigan_product_spec(
+            *corrigan_variables(cor, lam - 0.3j), cor.gamma))
     return specs
 
 
@@ -508,9 +509,8 @@ def test_transmission_sweep_memory_is_bounded():
 
 @pytest.mark.parametrize("offset", [0.0, 0.3])
 def test_corrigan_matches_transmission(attractive4, offset):
-    data = DefectRegimeData.from_params(attractive4, 1.0,
-                                        rapidity_offset=offset)
-    for lam_hat in (0.4, 1.3):
+    data = DefectRegimeData.from_params(attractive4, 1.0)
+    for lam_hat in (0.4 - 1j * offset, 1.3 - 1j * offset):
         z1, z2 = corrigan_variables(data, lam_hat)
         t_corr, rho = corrigan_form(z1, z2, data.gamma)
         t_amp = transmission_amplitude(data, lam_hat).value

@@ -1,8 +1,6 @@
 """End-to-end CLI coverage through main(argv), parsing emitted records."""
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -320,21 +318,25 @@ def test_amp_breather_s_rejects_spin(capsys):
 
 # per command, the options it does not read: each is a usage error
 UNREAD_OPTIONS = [
+    (["verify", "ybe", "--samples", "2"], ["--format"]),
     (["amp", "kink", "--lambda", "0.3"],
-     ["--spin", "--theta", "--n1", "--n2", "--seed"]),
-    (["amp", "transmission", "--lambda", "0.3"], ["--n1", "--n2", "--seed"]),
+     ["--spin", "--theta", "--n1", "--n2", "--seed", "--format"]),
+    (["amp", "transmission", "--lambda", "0.3"],
+     ["--n1", "--n2", "--seed", "--format"]),
     (["amp", "breather-s", *ATT4, "--lambda", "0.3"],
-     ["--spin", "--theta", "--seed"]),
+     ["--spin", "--theta", "--seed", "--format"]),
     (["amp", "breather-t", *ATT4, "--spin", "1", "--lambda", "0.3"],
-     ["--n2", "--seed"]),
+     ["--n2", "--seed", "--format"]),
     (["chain", "diagonalize", "--N", "2"],
-     ["--magnons", "--tol", "--seed", "--regime"]),
-    (["chain", "bae", "--N", "2"], ["--regime"]),
-    (["identity", "use1", "--samples", "2"], ["--model", "--mu", "--regime"]),
+     ["--magnons", "--tol", "--seed", "--regime", "--format"]),
+    (["chain", "bae", "--N", "2"], ["--regime", "--format"]),
+    (["identity", "use1", "--samples", "2"],
+     ["--model", "--mu", "--regime", "--format"]),
 ]
 OPTION_VALUES = {"--spin": "1", "--theta": "0.3", "--n1": "1", "--n2": "1",
                  "--seed": "3", "--magnons": "1", "--tol": "1e-8",
-                 "--regime": "attractive", "--model": "xxz", "--mu": "0.7"}
+                 "--regime": "attractive", "--model": "xxz", "--mu": "0.7",
+                 "--format": "csv"}
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -540,6 +542,25 @@ def test_huge_defect_spin_is_one_error_line(capsys, argv):
     assert json.loads(line)["error"]
 
 
+@pytest.mark.parametrize("options", [
+    "transmission --mu 1.0 --regime attractive --spin 1.5",
+    "kink --mu 0.08 --regime repulsive",
+    "kink --mu 0.08 --regime attractive",
+    "transmission --mu 0.08 --regime repulsive",
+    "transmission --mu 0.08 --regime attractive",
+    "breather-s --mu 0.08 --regime attractive",
+    "breather-t --mu 0.15 --regime attractive --spin 0.5"])
+def test_overflowing_kernel_is_one_error_line(capsys, options):
+    # the integral route's kernel overflows double precision at a cutoff
+    # probe; that ends in NonConvergence, not an OverflowError
+    code, out, err = run_cli(capsys, [
+        "amp", *options.split(), "--model", "xxz", "--lambda", "0.3",
+        "--method", "integral"])
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert "kernel overflows double precision" in json.loads(line)["error"]
+
+
 # ---------------------------------------------------------------------------
 # identity
 # ---------------------------------------------------------------------------
@@ -642,20 +663,6 @@ def test_xxx_rejects_regime(capsys):
         "verify", "ybe", "--regime", "repulsive"])
     assert code == 2
     assert "regime" in err
-
-
-def test_csv_output(capsys):
-    code, out, _ = run_cli(capsys, [
-        "amp", "kink", "--lambda", "0.7", "--method", "both",
-        "--format", "csv"])
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 2
-    assert set(rows[0]) == {"command", "params", "lambda", "re", "im",
-                            "err", "residual", "product_integral_gap"}
-    blob = json.loads(rows[0]["params"])
-    assert blob["method"] == "product"
-    assert abs(float(rows[0]["re"]) - float(rows[1]["re"])) < 1e-8
 
 
 def test_config_flag_rejected(capsys):

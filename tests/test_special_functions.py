@@ -28,9 +28,10 @@ from defectbethe.special_functions import (
     fourier_sine_integral,
     gamma_product,
     gamma_products,
+    identity_use1_residual,
+    identity_use2_residual,
     inverse_fourier_even,
     log_gamma,
-    verify_gamma_integral_identity,
 )
 
 
@@ -319,9 +320,9 @@ def test_fourier_routes_raise_on_quad_failure(monkeypatch):
     with pytest.raises(NonConvergence, match="maximum number of subdivisions"):
         inverse_fourier_even(kern, 0.4)
     with pytest.raises(NonConvergence, match="maximum number of subdivisions"):
-        verify_gamma_integral_identity("use1", 1.0)
+        identity_use1_residual(1.0)
     with pytest.raises(NonConvergence, match="maximum number of subdivisions"):
-        verify_gamma_integral_identity("use2", 1.3, 1.0)
+        identity_use2_residual(1.3, 1.0)
 
 
 def test_fourier_requires_decaying_kernel():
@@ -336,18 +337,16 @@ def test_fourier_requires_decaying_kernel():
 
 @pytest.mark.parametrize("mu", [0.2, 1.0, 3.7, 8.4])
 def test_exponential_integral_identity_one_variable(mu):
-    assert verify_gamma_integral_identity("use1", mu) < 1e-9
+    assert identity_use1_residual(mu) < 1e-9
 
 
 @pytest.mark.parametrize("mu,beta", [(0.5, 0.8), (1.3, 1.0), (2.4, 2.1)])
 def test_exponential_integral_identity_two_variable(mu, beta):
-    assert verify_gamma_integral_identity("use2", mu, beta) < 1e-7
+    assert identity_use2_residual(mu, beta) < 1e-7
 
 
 def test_identity_kind_validation():
     with pytest.raises(ValueError):
-        verify_gamma_integral_identity("use3", 1.0)
+        identity_use1_residual(-2.0)
     with pytest.raises(ValueError):
-        verify_gamma_integral_identity("use1", -2.0)
-    with pytest.raises(ValueError):
-        verify_gamma_integral_identity("use2", 1.0)  # missing beta
+        identity_use2_residual(1.0, 0.0)

@@ -479,7 +479,7 @@ def test_solver_failure_carries_diagnostics(xxx, monkeypatch):
 def test_solver_input_validation(xxx):
     chain = ChainSpec(N=2, defect_spin=0.5, params=xxx)
     with pytest.raises(ValueError):
-        solve_bae(chain, 0)
+        solve_bae(chain, 0, seeds=[])
     with pytest.raises(ValueError):
         solve_bae(chain, 2, seeds=[0.1])
 
