@@ -263,20 +263,21 @@ def transmission_product_spec_attractive(z_hat, gamma, coupling, m):
 
 
 def corrigan_product_spec(z1, z2, gamma):
-    """Physical-factor ladder of the defect-field form.
+    """Physical-factor ladder of the defect-field form, balanced.
 
-    As printed the product is only conditionally convergent (the offset
-    moments leave a log K divergence when z1 + z2 != 0); it is read here
-    in the renormalized sense, with the compensating digamma subtraction
-    supplied by the evaluation engine.
+    The printed eight factors leave the second moment -4 gamma (z1 + z2).
+    Four telescoping factors Gamma(bk+b+x) Gamma(bk+1) / (Gamma(bk+x)
+    Gamma(bk+b+1)), b = 2 gamma, x = 1 + z1 + z2, cancel it; over k < K
+    they multiply to Gamma(bK+x) / (Gamma(x) Gamma(bK+1)).
     """
     g = gamma
-    h, w = g + 0.5, 2 * g + 0.5
+    h, w, b, x = g + 0.5, 2 * g + 0.5, 2 * g, 1.0 + z1 + z2
     return GammaProductSpec(
-        signs=(+1, +1, +1, +1, -1, -1, -1, -1),
+        signs=(+1, +1, +1, +1, -1, -1, -1, -1, +1, +1, -1, -1),
         offsets=(z1 + h, z2 + h, -z1 + w, -z2 + w,
-                 z1 + w, z2 + w, -z1 + h, -z2 + h),
-        step=2 * g, renormalized=True)
+                 z1 + w, z2 + w, -z1 + h, -z2 + h,
+                 x + b, 1.0, x, b + 1.0),
+        step=b)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +393,7 @@ def transmission_matrix(data, lam_hat):
     """2(2S~+1)-dimensional transmission matrix over shifted_spin_rep(data).
 
     Rational and repulsive regimes produce a concrete matrix, over spin S~
-    and, in the repulsive case, the renormalized deformation pi*gamma.
+    and, in the repulsive case, the rescaled deformation pi*gamma.
     The attractive matrix needs an infinite-dimensional representation
     and raises NotRealizable.
     """
@@ -429,7 +430,7 @@ def transmission_blocks(rep, lam):
 def shifted_spin_rep(data):
     """The rep transmission_matrix is built over, where one exists.
 
-    Raises NotRealizable in the attractive regime, for a renormalized
+    Raises NotRealizable in the attractive regime, for a rescaled
     deformation pi*gamma outside (0, pi), and for a degenerate rep.
     """
     if data.regime == ATTRACTIVE:
@@ -466,26 +467,22 @@ def corrigan_variables(data, lam_hat):
 def corrigan_form(z1, z2, gamma):
     """Transmission amplitude in defect-field variables.
 
-    Returns (T, rho_d) with T = sin(pi(z2 + 1/2))/pi * rho_d.  The
-    rho_d ladder is conditionally divergent as printed; the renormalized
-    engine supplies K^{-c} and the residual step-scale factor
-    (2 gamma)^{z1+z2} is attached here.
+    Returns (T, rho_d), both with the ladder's relative error:
+    T = sin(pi(z2 + 1/2))/pi * rho_d, rho_d = Gamma(1/2 - z1)
+    Gamma(1/2 - z2) Gamma(1 + z1 + z2) * ladder; the last Gamma undoes the
+    telescoping factors.  Their removable points, 1 + z1 + z2 + 2 gamma j
+    in {0, -1, ...} for some j >= 0, raise PoleError; under
+    corrigan_variables they sit at lam_hat = -i(n + 1 + 2 gamma j)/2.
     """
     z1, z2 = complex(z1), complex(z2)
-    spec = corrigan_product_spec(z1, z2, gamma)
-    ladder = gamma_product(spec)
-    scale = (2.0 * gamma) ** (-spec.renorm_coefficient())
-    rho_val = ladder.value * scale \
-        * np.exp(log_gamma(0.5 - z1) + log_gamma(0.5 - z2))
-    rho = AmplitudeValue(complex(rho_val),
-                         err=ladder.err * abs(scale) * abs(
-                             rho_val / max(abs(ladder.value), 1e-300)),
-                         terms_used=ladder.terms_used)
-    t_val = np.sin(math.pi * (z2 + 0.5)) / math.pi * rho_val
-    t = AmplitudeValue(complex(t_val),
-                       err=rho.err * abs(np.sin(math.pi * (z2 + 0.5))) / math.pi,
-                       terms_used=ladder.terms_used)
-    return t, rho
+    ladder = gamma_product(corrigan_product_spec(z1, z2, gamma))
+    rel = ladder.err / max(abs(ladder.value), 1e-300)
+    rho = ladder.value * np.exp(np.sum(log_gamma(
+        np.array([0.5 - z1, 0.5 - z2, 1.0 + z1 + z2]))))
+    t = np.sin(math.pi * (z2 + 0.5)) / math.pi * rho
+    return tuple(AmplitudeValue(complex(v), err=rel * abs(v),
+                                terms_used=ladder.terms_used)
+                 for v in (t, rho))
 
 
 # ---------------------------------------------------------------------------

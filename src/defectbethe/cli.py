@@ -191,7 +191,7 @@ def _cmd_verify(args, emitter):
         grid = np.linspace(0.0, 1.8, args.samples)
         for spin in _rep_spin_list(args, params, base):
             rep = build_rep(spin, params)
-            worst = max(checks.m_matrix_casimir_identity(params, rep, x)
+            worst = max(checks.m_matrix_casimir_identity(rep, x)
                         for x in grid)
             report(worst, tol, spin=spin)
     elif args.what == "defect-spectrum":

@@ -241,7 +241,7 @@ def rtt_residual(data, lam1, lam2):
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-def m_matrix_casimir_identity(params, rep, lam):
+def m_matrix_casimir_identity(rep, lam):
     """Scalar collapse of the block defect matrix times its reflection.
 
     The block matrix M is amplitudes.transmission_blocks on rep.
@@ -250,18 +250,18 @@ def m_matrix_casimir_identity(params, rep, lam):
     companion M^{t1}(lam+i) M^{t1}(-lam+i) = scalar * I, with
     scalar = (i lam + S + 1/2)(-i lam + S + 1/2) in the isotropic case
     and sin(mu(i lam + S + 1/2)) sin(mu(-i lam + S + 1/2)) in the
-    deformed one.  Both scalars are fixed by the Casimir: lam^2 + C and
-    cos(2 i mu lam)/2 - C_q/4 respectively.  Returns the worst residual.
+    deformed one (mu = rep.deformation; None is isotropic).  Both scalars
+    are fixed by the Casimir: lam^2 + C and cos(2 i mu lam)/2 - C_q/4
+    respectively.  Returns the worst residual.
     """
     lam = complex(lam)
     s = rep.spin
     _, cas = casimir(rep)
-    if params.is_rational:
+    mu = rep.deformation
+    if mu is None:
         scalar = (1j * lam + s + 0.5) * (-1j * lam + s + 0.5)
         via_casimir = lam * lam + cas
     else:
-        mu = rep.deformation if rep.deformation is not None \
-            else params.anisotropy
         scalar = (cmath.sin(mu * (1j * lam + s + 0.5))
                   * cmath.sin(mu * (-1j * lam + s + 0.5)))
         via_casimir = 0.5 * cmath.cos(2j * mu * lam) - 0.25 * cas

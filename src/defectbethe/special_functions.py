@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma as sp_digamma, zeta as sp_zeta
+from scipy.special import zeta as sp_zeta
 
 from .errors import NonConvergence, PoleError
 
@@ -172,21 +172,14 @@ class GammaProductSpec:
     Balance requirements (checked at construction): the sum of signs
     vanishes, and the first and second moments of the offsets vanish.
     These kill the O(ln k), O(1) and O(1/k) parts of the log-summand,
-    leaving an absolutely convergent O(1/k^2) tail.
-
-    With renormalized=True the second-moment condition is dropped and the
-    product is read in the compensated sense
-
-        lim_K  [ prod_{k<K} term(k) ] * K^{-c1},   c1 = M2 / (2 b),
-
-    which is the standard way such conditionally divergent Gamma products
-    are meant; callers re-attach any scale factor (like b^c1) themselves.
+    leaving an absolutely convergent O(1/k^2) tail.  A ladder whose second
+    moment does not cancel diverges like a power of K; its caller balances
+    it first, for instance with telescoping factors of known product.
     """
 
     signs: tuple
     offsets: tuple
     step: float
-    renormalized: bool = False
 
     def __post_init__(self):
         if not self.signs:
@@ -202,20 +195,15 @@ class GammaProductSpec:
             raise ValueError(
                 f"offset first moment does not cancel (m1={m1:.3e}); "
                 f"product would diverge")
-        if abs(m2) > 1e-9 and not self.renormalized:
+        if abs(m2) > 1e-9:
             raise ValueError(
                 f"offset second moment does not cancel (m2={m2:.3e}); "
-                f"product only exists in the renormalized sense "
-                f"(pass renormalized=True)")
+                f"product would diverge")
 
     def _moments(self, n):
         """[M_0 .. M_{n-1}], M_j = sum_i s_i d_i^j; one offset per sign."""
         pairs = list(zip(self.signs, self.offsets, strict=True))
         return [sum(s * d ** j for s, d in pairs) for j in range(n)]
-
-    def renorm_coefficient(self):
-        """c1 = M2/(2b); 0 for a balanced product."""
-        return self._moments(3)[2] / (2.0 * self.step)
 
     def tail_moments(self):
         """(b, [M_0 .. M_{_TAIL_ORDER+1}], max |offset|), for the tail."""
@@ -224,17 +212,17 @@ class GammaProductSpec:
 
 
 def _tail_correction(moments, K):
-    """Asymptotic sum_{k>=K} [t(k) - c1/k], with a truncation estimate.
+    """Asymptotic sum_{k>=K} t(k), with a truncation estimate.
 
     t(k) = sum_i s_i log Gamma(b k + d_i) is the log of the k-th term of
     the product, and `moments` is spec.tail_moments().  Summed over the
     factors, the Stirling series log Gamma(z + d) ~ (z + d - 1/2) ln z - z
     + ln sqrt(2 pi) + sum_{n>=1} (-1)^{n+1} B_{n+1}(d) / (n (n+1) z^n)
     loses its O(k ln k), O(ln k) and O(1) parts to M0 = M1 = 0, where
-    M_j = sum_i s_i d_i^j, and its n = 1 term is c1/k (zero for a balanced
-    product, subtracted explicitly for a renormalized one).  For n >= 2 the
-    Bernoulli polynomials sum to P_{n+1} = sum_{j<n} C(n+1, j) B_j M_{n+1-j},
-    and partial zeta sums close the tail exactly through k^-_TAIL_ORDER.
+    M_j = sum_i s_i d_i^j, and its n = 1 term, M2/(2 b k), to M2 = 0.  For
+    n >= 2 the Bernoulli polynomials sum to P_{n+1} = sum_{j<n} C(n+1, j)
+    B_j M_{n+1-j}, and partial zeta sums close the tail exactly through
+    k^-_TAIL_ORDER.
 
     Returns (tail, trunc, q): trunc bounds the dropped orders by the last
     two retained ones, and q is the expansion parameter max|d|/(bK); the
@@ -324,17 +312,11 @@ def gamma_products(specs):
 
     out = []
     for spec, (K, tail, trunc), log_sum in zip(specs, chosen, log_sums):
-        log_sum = complex(log_sum)
-        if spec.renormalized:
-            # sum_{k<K} t(k) - c1 psi(K) -> renormalized value as K
-            # grows, since psi(K) = H_{K-1} - euler_gamma soaks up the c1/k
-            # drift
-            log_sum -= spec.renorm_coefficient() * float(sp_digamma(K))
         # roundoff in the explicit block: cancelling log-Gammas of size L
         bK = spec.step * K
         L = bK * max(1.0, math.log(bK))
         noise = 1e-16 * L * math.sqrt(K)
-        value = complex(np.exp(log_sum + tail))
+        value = complex(np.exp(complex(log_sum) + tail))
         err = abs(value) * (trunc + noise)
         out.append(AmplitudeValue(value=value, err=float(err), terms_used=K))
     return out

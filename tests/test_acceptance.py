@@ -244,12 +244,12 @@ def test_criterion_07_matrix_checks():
     for S in (0.5, 1.0, 1.5, 2.0):
         rep = build_rep(S, XXX)
         worst_cas = max(worst_cas,
-                        max(pc.m_matrix_casimir_identity(XXX, rep, x)
+                        max(pc.m_matrix_casimir_identity(rep, x)
                             for x in (0.0, 0.45, 1.3)))
     for S in (0.5, 1.0, 1.5):
         rep = build_rep(S, TRIG)
         worst_cas = max(worst_cas,
-                        max(pc.m_matrix_casimir_identity(TRIG, rep, x)
+                        max(pc.m_matrix_casimir_identity(rep, x)
                             for x in (0.0, 0.45, 1.3)))
     note(f"criterion 7: rtt worst {worst_rtt:.3e} (tol 1e-10), matrix "
          f"unitarity/crossing worst {worst_mat:.3e} (tol 1e-9), Casimir "

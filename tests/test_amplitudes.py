@@ -59,6 +59,7 @@ from defectbethe.spin_algebra import (
 from defectbethe.spin_chain import elementary_ratio
 from defectbethe.special_functions import (
     _tail_correction,
+    gamma_product,
     gamma_products,
     log_gamma,
 )
@@ -412,8 +413,6 @@ def _reference_product(spec, tol=1e-12):
     for s, d in zip(spec.signs, spec.offsets):
         total = total + s * log_gamma(d + b * k)
     log_sum = complex(np.sum(total))
-    if spec.renormalized:
-        log_sum -= spec.renorm_coefficient() * float(sp.digamma(K))
     L = b * K * max(1.0, math.log(b * K))
     value = complex(np.exp(log_sum + tail))
     err = abs(value) * (trunc + 1e-16 * L * math.sqrt(K))
@@ -421,9 +420,9 @@ def _reference_product(spec, tol=1e-12):
 
 
 def _engine_grid(repulsive4, attractive4):
-    """Kink, both transmission ladders and renormalized defect-field
-    ladders (at rapidities offset by -0.3i) over one grid; K runs from 64
-    to 512 across it."""
+    """Kink, both transmission ladders and defect-field ladders (at
+    rapidities offset by -0.3i) over one grid; K runs from 64 to 512
+    across it."""
     lams = np.linspace(-3.0, 3.0, 13)
     g16 = ATT16.gamma
     rep = DefectRegimeData.from_params(repulsive4, 1.0)
@@ -516,6 +515,46 @@ def test_corrigan_matches_transmission(attractive4, offset):
         t_amp = transmission_amplitude(data, lam_hat).value
         assert abs(t_corr.value - t_amp) < 1e-9
         assert rho.err < 1e-6
+
+
+def test_corrigan_errors_are_the_ladders_relative_error(attractive4):
+    data = DefectRegimeData.from_params(attractive4, 1.0)
+    z1, z2 = corrigan_variables(data, 0.4 - 0.3j)
+    t, rho = corrigan_form(z1, z2, data.gamma)
+    ladder = gamma_product(corrigan_product_spec(z1, z2, data.gamma))
+    rel = ladder.err / abs(ladder.value)
+    for av in (t, rho):
+        assert abs(av.err / abs(av.value) / rel - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("z1, z2, gamma", [
+    (-0.3 + 0.2j, 0.45 - 0.1j, 0.7),
+    (0.1 - 0.25j, -0.2 + 0.35j, 5.0 / 3.0),
+], ids=["gamma=0.7", "gamma=1.667"])
+def test_corrigan_form_vs_printed_ladder_brute_force(z1, z2, gamma):
+    """The balanced form vs the printed eight-factor ladder, read as
+    lim_K [prod_{k<K} term(k)] K^{z1+z2}.
+
+    The oracle sums scipy log-Gammas with the -c1 psi(K) counterterm,
+    c1 = -(z1 + z2), and Richardson-extrapolates the 1/K and 1/K^2
+    drift over K = 250, 500, 1000; at larger K the roundoff of the
+    summed log-Gammas passes 1e-8.
+    """
+    h, w, b = gamma + 0.5, 2 * gamma + 0.5, 2 * gamma
+    up = (z1 + h, z2 + h, -z1 + w, -z2 + w)
+    down = (z1 + w, z2 + w, -z1 + h, -z2 + h)
+
+    def brute_log(K):
+        k = b * np.arange(K)
+        total = sum(sp.loggamma(d + k) for d in up) \
+            - sum(sp.loggamma(d + k) for d in down)
+        return np.sum(total) + (z1 + z2) * sp.digamma(K)
+
+    f1, f2, f4 = brute_log(250), brute_log(500), brute_log(1000)
+    ladder = np.exp((8.0 * f4 - 6.0 * f2 + f1) / 3.0)
+    oracle = (ladder * b ** (z1 + z2) * sp.gamma(0.5 - z1)
+              * sp.gamma(0.5 - z2) * np.sin(math.pi * (z2 + 0.5)) / math.pi)
+    assert abs(corrigan_form(z1, z2, gamma)[0].value - oracle) < 1e-8
 
 
 def test_corrigan_needs_attractive(xxx):

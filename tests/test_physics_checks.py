@@ -152,7 +152,7 @@ def test_rtt_wrapper(xxx, repulsive4, attractive4, rng):
 @pytest.mark.parametrize("S", [0.5, 1.0, 1.5, 2.0])
 def test_m_matrix_casimir_rational(xxx, S):
     rep = build_rep(S, xxx)
-    worst = max(pc.m_matrix_casimir_identity(xxx, rep, x)
+    worst = max(pc.m_matrix_casimir_identity(rep, x)
                 for x in (0.0, 0.4, 1.3, 0.3 + 0.7j))
     assert worst <= 1e-12
 
@@ -160,7 +160,7 @@ def test_m_matrix_casimir_rational(xxx, S):
 @pytest.mark.parametrize("S", [0.5, 1.0, 1.5])
 def test_m_matrix_casimir_trig(trig, S):
     rep = build_rep(S, trig)
-    worst = max(pc.m_matrix_casimir_identity(trig, rep, x)
+    worst = max(pc.m_matrix_casimir_identity(rep, x)
                 for x in (0.0, 0.4, 1.3))
     assert worst <= 1e-12
 
@@ -170,7 +170,7 @@ def test_m_matrix_casimir_renormalized_rep(repulsive4):
     data = amp.DefectRegimeData.from_params(repulsive4, 1.0)
     rep = amp.shifted_spin_rep(data)
     assert abs(rep.deformation - math.pi / 3.0) < 1e-12
-    worst = max(pc.m_matrix_casimir_identity(repulsive4, rep, x)
+    worst = max(pc.m_matrix_casimir_identity(rep, x)
                 for x in (0.4, 1.1))
     assert worst <= 1e-12
 

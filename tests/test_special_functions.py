@@ -1,6 +1,6 @@
 """Tests for the Gamma/product/Fourier toolbox against independent oracles.
 
-Oracles are scipy.special (loggamma, gamma, digamma) and closed-form
+Oracles are scipy.special (loggamma, gamma, zeta) and closed-form
 integrals with known antiderivatives; the module under test never calls
 scipy.special for these quantities, so agreement is meaningful.
 """
@@ -107,14 +107,11 @@ def test_spec_rejects_first_moment_mismatch():
         GammaProductSpec(signs=(+1, -1), offsets=(0.5, 0.9), step=1.0)
 
 
-def test_spec_requires_renormalized_flag_for_second_moment():
+def test_spec_rejects_second_moment_mismatch():
     # m0 = m1 = 0 but m2 = 2 (a - s)^2 != 0
-    ladder = dict(signs=(+1, +1, -1, -1), offsets=(0.4, 1.4, 0.9, 0.9),
-                  step=1.0)
-    with pytest.raises(ValueError, match="renormalized"):
-        GammaProductSpec(**ladder)
-    spec = GammaProductSpec(**ladder, renormalized=True)
-    assert abs(spec.renorm_coefficient() - 0.25) < 1e-12
+    with pytest.raises(ValueError, match="second moment"):
+        GammaProductSpec(signs=(+1, +1, -1, -1), offsets=(0.4, 1.4, 0.9, 0.9),
+                         step=1.0)
 
 
 def test_spec_rejects_bad_sign_and_step():
@@ -129,11 +126,9 @@ def test_spec_rejects_bad_sign_and_step():
 
 
 def _pole_spec(d):
-    """Renormalized (+, +, -, -) ladder of offsets (d, 1 - d, 1/2, 1/2),
-    step 1; its first argument d + k hits a pole for integer d <= 0."""
-    return GammaProductSpec(signs=(+1, +1, -1, -1),
-                            offsets=(d, 1.0 - d, 0.5, 0.5), step=1.0,
-                            renormalized=True)
+    """prod_k (d+k)(1+k) / ((1/2+k)(1/2+d+k)) as a balanced ladder; its
+    arguments d + k and d + 1 + k hit poles for integer d <= 0."""
+    return _ratio_spec(d, 1.0, 0.5, 0.5 + d)
 
 
 def test_gamma_product_pole_detection():
@@ -149,9 +144,10 @@ def test_gamma_products_pole_in_grid():
 
 
 @pytest.mark.parametrize("spec, K", [
-    # the renormalized ladder with its pole at k = 15; its tail settles
-    # on K = 2048
-    (_pole_spec(-15.0), 2048),
+    # a pole at k = 15; q = 400/K stays above 1/4 up to K = 1024, so
+    # the tail settles on K = 2048
+    (GammaProductSpec(signs=(+1, -1, +1, -1),
+                      offsets=(-15.0, -15.0, 400.0, 400.0), step=1.0), 2048),
     # every moment vanishes, so the tail accepts K = 64 at q = 16/64 = 1/4,
     # the largest q it allows; the pole at k = 15 is still in the block
     (GammaProductSpec(signs=(+1, -1, +1, -1),
@@ -237,33 +233,6 @@ def test_gamma_product_complex_arguments():
     out = gamma_product(_ratio_spec(a, b, c, d))
     expected = sp.gamma(c) * sp.gamma(d) / (sp.gamma(a) * sp.gamma(b))
     assert abs(out.value - expected) < 1e-10
-
-
-def test_gamma_product_renormalized_vs_brute_force():
-    """Compensated product vs direct partial sums with digamma counterterm.
-
-    The module grows K adaptively and closes the tail analytically; the
-    oracle here just sums a lot of terms and Richardson-extrapolates the
-    leftover 1/K drift.  Agreement to 1e-8 on independent routes.
-    """
-    a, s = 0.4, 0.9
-    spec = GammaProductSpec(signs=(+1, +1, -1, -1),
-                            offsets=(a, 2 * s - a, s, s), step=1.0,
-                            renormalized=True)
-    c1 = spec.renorm_coefficient()
-    assert abs(c1 - (a - s) ** 2) < 1e-12
-
-    def brute_log(K):
-        k = np.arange(K)
-        total = (sp.loggamma(a + k) + sp.loggamma(2 * s - a + k)
-                 - 2.0 * sp.loggamma(s + k))
-        return np.sum(total) - c1 * sp.digamma(K)
-
-    f1, f2 = brute_log(4000), brute_log(8000)
-    oracle = math.exp(2.0 * f2 - f1)  # kills the O(1/K) remainder
-
-    out = gamma_product(spec)
-    assert abs(out.value - oracle) < 1e-8
 
 
 # ---------------------------------------------------------------------------
