@@ -3,8 +3,8 @@
 Every amplitude here exists in (at least) two independent forms: a closed
 form built from Gamma-function ladders or hyperbolic ratios, and an
 oscillatory log-integral over a Fourier kernel.  Both routes are exposed
-so they can be played against each other; the kernel registry and the
-closed forms share no code.
+so they can be played against each other; the four kernel builders
+(r_s_hat, r_t_hat, r_b_hat, t_b_hat) and the closed forms share no code.
 
 Conventions.  Kernel transforms follow f(x) = (1/2pi) Int dw e^{-iwx}
 fhat(w).  Log-integral amplitudes are exp[-PV Int dw/w e^{-iwx} fhat(w)].
@@ -47,6 +47,14 @@ def branch_index(params, spin):
         return 0
     width = 2.0 * params.nu if params.regime_name == REPULSIVE else params.nu
     return _window(2.0 * spin, width)
+
+
+def _window(y, width):
+    m = int(math.floor(y / width))
+    if m < 0 or min(y - m * width, (m + 1) * width - y) < 1e-10:
+        raise DomainError(
+            f"2S = {y} sits on or outside windows of width {width}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,8 @@ class DefectRegimeData:
 
 
 # ---------------------------------------------------------------------------
-# Fourier kernels
+# Fourier kernels: each builder checks its inputs once, before any w, and
+# returns the transform as a function of real w alone
 # ---------------------------------------------------------------------------
 
 
@@ -111,75 +120,64 @@ def _sinh_ratio(a, b, w):
     return math.sinh(a * w / 2.0) / math.sinh(b * w / 2.0)
 
 
-def kernel_hat(name, params, order=None):
-    """Fourier transform of a named convolution kernel as a function of real w.
-
-    Registry: r_s and r_t in every regime, plus the breather-sector
-    kernels r_b and t_b (attractive regime only).  `order` carries
-    y = 2S (for r_t, t_b); the window index is derived from it.  Every
-    check runs here, before any w: an unknown name, a missing order, or
-    an outside-window or non-decaying combination raises DomainError.
-    """
+def r_s_hat(params):
+    """Fourier transform of the soliton-soliton kernel r_s, in every regime."""
     if params.is_rational:
-        if name == "r_s":
-            return lambda w: math.exp(-abs(w) / 2.0) \
-                / (2.0 * math.cosh(w / 2.0))
-        if name == "r_t":
-            if order is None:
-                raise DomainError(f"kernel {name!r} needs an order parameter")
-            return lambda w: math.exp(-(order - 1.0) * abs(w) / 2.0) \
-                / (2.0 * math.cosh(w / 2.0))
-        raise DomainError(f"unknown rational kernel {name!r}")
-
+        return lambda w: math.exp(-abs(w) / 2.0) / (2.0 * math.cosh(w / 2.0))
     nu = params.nu
-    regime = params.regime_name
-    if name == "r_s":
-        if regime == REPULSIVE:
-            return lambda w: _sinh_ratio(nu - 2.0, nu - 1.0, w) \
-                / (2.0 * math.cosh(w / 2.0))
-        return lambda w: -_sinh_ratio(nu - 2.0, 1.0, w) \
-            / (2.0 * math.cosh((nu - 1.0) * w / 2.0))
-    if name == "r_t":
-        if order is None:
-            raise DomainError(f"kernel {name!r} needs an order parameter")
-        if regime == REPULSIVE:
-            m = _window(order, 2.0 * nu)
-            return lambda w: _sinh_ratio((2 * m + 1) * nu - order, nu - 1.0,
-                                         w) / (2.0 * math.cosh(w / 2.0))
-        m = _window(order, nu)
-        if m > 1:
-            raise DomainError(
-                "attractive r_t integrand does not decay for m >= 2; "
-                "only the product form exists there")
-        return lambda w: _sinh_ratio(order - 2 * m * nu, 1.0, w) \
-            / (2.0 * math.cosh((nu - 1.0) * w / 2.0))
-
-    if regime != ATTRACTIVE:
-        raise DomainError(f"kernel {name!r} lives in the attractive regime")
-    if name == "r_b":
-        if nu <= 2.0:
-            raise DomainError("r_b kernel does not decay for nu <= 2")
-        return lambda w: -math.cosh((nu - 3.0) * w / 2.0) \
-            / math.cosh((nu - 1.0) * w / 2.0)
-    if name == "t_b":
-        if order is None:
-            raise DomainError(f"kernel {name!r} needs an order parameter")
-        if not 0.0 < order < nu:
-            raise DomainError(f"t_b needs 0 < 2S < nu, got 2S = {order}")
-        if order >= 2.0 * nu - 2.0:
-            raise DomainError(f"t_b kernel does not decay for "
-                              f"2S >= 2 nu - 2, got 2S = {order}")
-        return lambda w: math.cosh((nu - order - 1.0) * w / 2.0) \
-            / math.cosh((nu - 1.0) * w / 2.0)
-    raise DomainError(f"unknown trig kernel {name!r}")
+    if params.regime_name == REPULSIVE:
+        return lambda w: _sinh_ratio(nu - 2.0, nu - 1.0, w) \
+            / (2.0 * math.cosh(w / 2.0))
+    return lambda w: -_sinh_ratio(nu - 2.0, 1.0, w) \
+        / (2.0 * math.cosh((nu - 1.0) * w / 2.0))
 
 
-def _window(order, width):
-    m = int(math.floor(order / width))
-    if m < 0 or min(order - m * width, (m + 1) * width - order) < 1e-10:
+def r_t_hat(data):
+    """Fourier transform of the soliton-defect kernel r_t, y = 2S, on the
+    window data.branch_index; the attractive one decays on m <= 1 only."""
+    params, y, m = data.params, 2.0 * data.spin, data.branch_index
+    if params.is_rational:
+        return lambda w: math.exp(-(y - 1.0) * abs(w) / 2.0) \
+            / (2.0 * math.cosh(w / 2.0))
+    nu = params.nu
+    if params.regime_name == REPULSIVE:
+        return lambda w: _sinh_ratio((2 * m + 1) * nu - y, nu - 1.0, w) \
+            / (2.0 * math.cosh(w / 2.0))
+    if m > 1:
         raise DomainError(
-            f"order {order} sits on or outside windows of width {width}")
-    return m
+            "attractive r_t integrand does not decay for m >= 2; "
+            "only the product form exists there")
+    return lambda w: _sinh_ratio(y - 2 * m * nu, 1.0, w) \
+        / (2.0 * math.cosh((nu - 1.0) * w / 2.0))
+
+
+def _attractive_nu(params, name):
+    # nu of a breather-sector kernel's params, which must be attractive
+    if params.is_rational or params.regime_name != ATTRACTIVE:
+        raise DomainError(f"kernel {name!r} lives in the attractive regime")
+    return params.nu
+
+
+def r_b_hat(params):
+    """Fourier transform of the breather-breather kernel r_b (nu > 2)."""
+    nu = _attractive_nu(params, "r_b")
+    if nu <= 2.0:
+        raise DomainError("r_b kernel does not decay for nu <= 2")
+    return lambda w: -math.cosh((nu - 3.0) * w / 2.0) \
+        / math.cosh((nu - 1.0) * w / 2.0)
+
+
+def t_b_hat(data):
+    """Fourier transform of the breather-defect kernel t_b, y = 2S
+    (0 < y < nu and y < 2 nu - 2)."""
+    nu, y = _attractive_nu(data.params, "t_b"), 2.0 * data.spin
+    if not 0.0 < y < nu:
+        raise DomainError(f"t_b needs 0 < 2S < nu, got 2S = {y}")
+    if y >= 2.0 * nu - 2.0:
+        raise DomainError(f"t_b kernel does not decay for "
+                          f"2S >= 2 nu - 2, got 2S = {y}")
+    return lambda w: math.cosh((nu - y - 1.0) * w / 2.0) \
+        / math.cosh((nu - 1.0) * w / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +209,11 @@ def state_density(data, theta, holes, lam, N):
     sigma0 uses its closed form.
     """
     eps, _ = hole_dispersion(data.params, lam)
-    y = 2.0 * data.spin
-    r_s = kernel_hat("r_s", data.params)
+    r_s = r_s_hat(data.params)
     corr = 0.0
     for h in holes:
         corr += inverse_fourier_even(r_s, lam - h)[0]
-    corr += inverse_fourier_even(kernel_hat("r_t", data.params, order=y),
-                                 lam - theta)[0]
+    corr += inverse_fourier_even(r_t_hat(data), lam - theta)[0]
     return float(eps + corr / N)
 
 
@@ -315,7 +311,7 @@ def _gamma_ratios(num1, num2, den1, den2):
 
 def kink_S_by_integral(params, lam):
     """Same amplitude through the log-integral over r_s."""
-    return fourier_log_integral(kernel_hat("r_s", params), _real_arg(lam))
+    return fourier_log_integral(r_s_hat(params), _real_arg(lam))
 
 
 def s_matrix(params, lam):
@@ -375,9 +371,7 @@ def transmission_amplitudes(data, lam_hats):
 
 def transmission_by_integral(data, lam_hat):
     """Transmission eigenvalue through the log-integral over r_t."""
-    y = 2.0 * data.spin
-    return fourier_log_integral(kernel_hat("r_t", data.params, order=y),
-                                _real_arg(lam_hat))
+    return fourier_log_integral(r_t_hat(data), _real_arg(lam_hat))
 
 
 def transmission_eigenvalue_ratio(data, lam_hat):
@@ -545,15 +539,13 @@ def breather_S_by_integral(params, lam):
     to evaluating the integral at -lam and negating, which is the form
     used here.
     """
-    val = fourier_log_integral(kernel_hat("r_b", params), -_real_arg(lam))
+    val = fourier_log_integral(r_b_hat(params), -_real_arg(lam))
     return AmplitudeValue(-val.value, err=val.err, terms_used=val.terms_used)
 
 
 def breather_T_by_integral(data, lam_hat):
     """Lightest-breather transmission via the log-integral over t_b."""
-    y = 2.0 * data.spin
-    val = fourier_log_integral(kernel_hat("t_b", data.params, order=y),
-                               -_real_arg(lam_hat))
+    val = fourier_log_integral(t_b_hat(data), -_real_arg(lam_hat))
     return AmplitudeValue(-val.value, err=val.err, terms_used=val.terms_used)
 
 

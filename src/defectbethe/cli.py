@@ -130,9 +130,8 @@ def _rep_spin_list(args, params, base):
 def _cmd_verify(args, emitter):
     params = _model(args)
     rng = np.random.default_rng(args.seed)
-    base = {"check": args.what, "model": args.model, "mu": args.mu,
-            "regime": args.regime, "samples": args.samples,
-            "seed": args.seed}
+    base = {"check": args.what,
+            **_echo(args, "command", "what", "spin", "tol")}
     failed = False
 
     def report(residual, tol, after=None, **extra):
@@ -197,9 +196,8 @@ def _cmd_verify(args, emitter):
     elif args.what == "defect-spectrum":
         for spin in _rep_spin_list(args, params, base):
             rep = build_rep(spin, params)
-            rpt = checks.defect_spectrum_report(params, rep, 0.73)
-            report(rpt.residual, _tolerance(args, rpt.tolerance),
-                   **rpt.details)
+            rpt = checks.defect_spectrum_report(params, rep, 0.73, args.tol)
+            report(rpt.residual, rpt.tolerance, **rpt.details)
             report(checks.defect_spin_spectrum_residual(rep),
                    _tolerance(args, 1e-12),
                    spin=spin, part="spin-multiset",
@@ -389,30 +387,22 @@ def _cmd_chain(args, emitter):
 # ---------------------------------------------------------------------------
 
 def _cmd_identity(args, emitter):
+    use1 = args.kind == "use1"
+    tol = _tolerance(args, 1e-8 if use1 else 1e-6)
+    residual = sf.identity_use1_residual if use1 \
+        else sf.identity_use2_residual
+    # each argument, in call order, is drawn uniformly from its range
+    ranges = {"mu_param": (0.05, 9.95)} if use1 \
+        else {"mu_param": (0.3, 4.5), "beta_param": (0.3, 2.5)}
     rng = np.random.default_rng(args.seed)
     failed = False
-    if args.kind == "use1":
-        tol = _tolerance(args, 1e-8)
-        n = 20 if args.samples is None else args.samples
-        for mu in rng.uniform(0.05, 9.95, n):
-            res = sf.identity_use1_residual(mu)
-            failed = failed or res > tol
-            emitter.emit(_record("identity use1",
-                                 {"mu_param": float(mu), "tol": tol,
-                                  "passed": res <= tol},
-                                 residual=res))
-    else:
-        tol = _tolerance(args, 1e-6)
-        n = 10 if args.samples is None else args.samples
-        for _ in range(n):
-            mu = float(rng.uniform(0.3, 4.5))
-            beta = float(rng.uniform(0.3, 2.5))
-            res = sf.identity_use2_residual(mu, beta)
-            failed = failed or res > tol
-            emitter.emit(_record("identity use2",
-                                 {"mu_param": mu, "beta_param": beta,
-                                  "tol": tol, "passed": res <= tol},
-                                 residual=res))
+    for _ in range(args.samples or (20 if use1 else 10)):
+        p = {k: float(rng.uniform(lo, hi)) for k, (lo, hi) in ranges.items()}
+        res = residual(*p.values())
+        failed = failed or res > tol
+        emitter.emit(_record(f"identity {args.kind}",
+                             {**p, "tol": tol, "passed": res <= tol},
+                             residual=res))
     return 1 if failed else 0
 
 

@@ -99,18 +99,6 @@ def regularity_scale(params):
     return complex(np.sinh(1j * params.anisotropy))
 
 
-def yang_baxter_residual(m12, m13, m23):
-    """max-norm of M12 M13 M23 - M23 M13 M12 on three 2-dimensional spaces.
-
-    Each argument is a 4x4 matrix on the pair of spaces its name gives.
-    """
-    dims = [2, 2, 2]
-    a = two_site_operator(m12, dims, 0, 1)
-    b = two_site_operator(m13, dims, 0, 2)
-    c = two_site_operator(m23, dims, 1, 2)
-    return float(np.max(np.abs(a @ b @ c - c @ b @ a)))
-
-
 def exchange_sides(r12, l1, l2):
     """Both sides (R12 L1 L2, L2 L1 R12) of a quadratic exchange relation.
 
@@ -124,16 +112,6 @@ def exchange_sides(r12, l1, l2):
     return r @ a @ b, b @ a @ r
 
 
-def ybe_residual(params, lam1, lam2):
-    """Yang-Baxter defect-free residual on three spin-1/2 spaces.
-
-    max-norm of R12(l1-l2) R13(l1) R23(l2) - R23(l2) R13(l1) R12(l1-l2).
-    """
-    return yang_baxter_residual(r_matrix(params, lam1 - lam2),
-                                r_matrix(params, lam1),
-                                r_matrix(params, lam2))
-
-
 def rll_residual(params, rep, lam1, lam2):
     """Quadratic-algebra residual of the defect Lax matrix.
 
@@ -144,3 +122,13 @@ def rll_residual(params, rep, lam1, lam2):
                               defect_lax(params, rep, lam1),
                               defect_lax(params, rep, lam2))
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def ybe_residual(params, lam1, lam2):
+    """Yang-Baxter residual on three spin-1/2 spaces: max-norm of
+    R12(l1-l2) R13(l1) R23(l2) - R23(l2) R13(l1) R12(l1-l2).
+
+    The spin-1/2 Lax matrix is the R-matrix, so this is rll_residual at
+    spin 1/2.
+    """
+    return rll_residual(params, build_rep(0.5, params), lam1, lam2)

@@ -268,7 +268,7 @@ def test_criterion_08_defect_lax_spectra():
     for S in (0.5, 1.0, 1.5, 2.0):
         rep = build_rep(S, XXX)
         for lam in (0.73, 0.3 + 0.2j):
-            _, res = pc.defect_spectrum_closed_form(XXX, rep, lam)
+            res = pc.defect_spectrum_report(XXX, rep, lam).residual
             worst_rat = max(worst_rat, res)
         expected = sorted(
             [S + 0.5, -(S + 0.5)] + [S + 0.5 - k for k in range(1, rep.dim)

@@ -26,14 +26,17 @@ from defectbethe.amplitudes import (
     corrigan_product_spec,
     corrigan_variables,
     hole_dispersion,
-    kernel_hat,
     kink_S_amplitude,
     kink_S_amplitudes,
     kink_S_by_integral,
     kink_product_spec,
+    r_b_hat,
+    r_s_hat,
+    r_t_hat,
     s_matrix,
     shifted_spin_rep,
     state_density,
+    t_b_hat,
     transmission_amplitude,
     transmission_amplitudes,
     transmission_blocks,
@@ -48,7 +51,7 @@ from defectbethe.errors import (
     NotRealizable,
     PoleError,
 )
-from defectbethe.lax_operators import yang_baxter_residual
+from defectbethe.lax_operators import exchange_sides
 from defectbethe.physics_checks import rtt_residual
 from defectbethe.spin_algebra import (
     ATTRACTIVE,
@@ -145,24 +148,21 @@ def test_elementary_ratio(xxx, trig):
 
 def test_kernel_registry_guards(xxx, repulsive4, attractive4):
     # every guard fires when the kernel is built, before any w
-    with pytest.raises(DomainError, match="unknown rational kernel 'nope'"):
-        kernel_hat("nope", xxx)
-    with pytest.raises(DomainError, match="'r_t' needs an order parameter"):
-        kernel_hat("r_t", xxx)
-    with pytest.raises(DomainError, match="'r_b' lives in the attractive"):
-        kernel_hat("r_b", repulsive4)
+    for params in (xxx, repulsive4):
+        with pytest.raises(DomainError, match="'r_b' lives in the attractive"):
+            r_b_hat(params)
+    with pytest.raises(DomainError, match="'t_b' lives in the attractive"):
+        t_b_hat(DefectRegimeData.from_params(xxx, 1.0))
     with pytest.raises(DomainError, match="regime not set"):
-        kernel_hat("r_s", ModelParameters.xxz(math.pi / 4.0))
+        r_s_hat(ModelParameters.xxz(math.pi / 4.0))
     # attractive transmission kernel only decays on branches m <= 1
     att12 = ModelParameters.xxz(math.pi / 1.2, ATTRACTIVE)
     with pytest.raises(DomainError, match="does not decay for m >= 2"):
-        kernel_hat("r_t", att12, order=4.0)  # m = 3
+        r_t_hat(DefectRegimeData.from_params(att12, 2.0))  # 2S = 4, m = 3
     with pytest.raises(DomainError, match="sits on or outside windows"):
-        kernel_hat("r_t", repulsive4, order=8.0)  # 2S = 2 nu
+        DefectRegimeData.from_params(repulsive4, 4.0)  # 2S = 2 nu
     with pytest.raises(DomainError, match="t_b needs 0 < 2S < nu"):
-        kernel_hat("t_b", attractive4, order=5.0)
-    with pytest.raises(DomainError, match="unknown trig kernel 'nope'"):
-        kernel_hat("nope", attractive4)
+        t_b_hat(DefectRegimeData.from_params(attractive4, 2.5))  # 2S = 5
 
 
 def test_breather_kernels_reject_non_decay(attractive4):
@@ -171,31 +171,37 @@ def test_breather_kernels_reject_non_decay(attractive4):
     for nu in (1.6, 2.0):
         params = ModelParameters.xxz(math.pi / nu, ATTRACTIVE)
         with pytest.raises(DomainError, match="does not decay"):
-            kernel_hat("r_b", params)
+            r_b_hat(params)
     att16 = ModelParameters.xxz(math.pi / 1.6, ATTRACTIVE)
     with pytest.raises(DomainError, match="does not decay"):
-        kernel_hat("t_b", att16, order=1.4)
-    assert abs(kernel_hat("t_b", att16, order=1.0)(80.0)) < 1e-3
-    assert abs(kernel_hat("r_b", attractive4)(40.0)) < 1e-12
+        t_b_hat(DefectRegimeData.from_params(att16, 0.7))  # 2S = 1.4
+    t_b = t_b_hat(DefectRegimeData.from_params(att16, 0.5))
+    assert abs(t_b(80.0)) < 1e-3
+    assert abs(r_b_hat(attractive4)(40.0)) < 1e-12
 
 
 def test_kernels_are_even(xxx, repulsive4, attractive4):
-    cases = [("r_s", xxx, None), ("r_t", xxx, 3.0),
-             ("r_s", repulsive4, None), ("r_t", repulsive4, 2.0),
-             ("r_b", attractive4, None), ("t_b", attractive4, 2.0)]
-    for name, params, order in cases:
-        kernel = kernel_hat(name, params, order=order)
+    def data(params, spin):
+        return DefectRegimeData.from_params(params, spin)
+
+    kernels = [r_s_hat(xxx), r_t_hat(data(xxx, 1.5)),
+               r_s_hat(repulsive4), r_t_hat(data(repulsive4, 1.0)),
+               r_b_hat(attractive4), t_b_hat(data(attractive4, 1.0))]
+    for kernel in kernels:
         for w in (0.37, 1.9):
             assert abs(kernel(w) - kernel(-w)) < 1e-14
 
 
 def test_sinh_ratio_kernels_at_removable_point(repulsive4, attractive4):
     # nu = 4: below |w| = 1e-12 the sinh ratios take their closed w -> 0
-    # limit, and just above it they must already agree with it
-    cases = [(kernel_hat("r_s", repulsive4), 2.0 / 3.0 / 2.0),
-             (kernel_hat("r_t", repulsive4, order=9.0), 3.0 / 3.0 / 2.0),
-             (kernel_hat("r_s", attractive4), -2.0 / 2.0),
-             (kernel_hat("r_t", attractive4, order=5.0), -3.0 / 2.0)]
+    # limit, and just above it they must already agree with it.  2S = 9
+    # and 5 sit on branch m = 1 of either regime.
+    rep9 = DefectRegimeData.from_params(repulsive4, 4.5)
+    att5 = DefectRegimeData.from_params(attractive4, 2.5)
+    cases = [(r_s_hat(repulsive4), 2.0 / 3.0 / 2.0),
+             (r_t_hat(rep9), 3.0 / 3.0 / 2.0),
+             (r_s_hat(attractive4), -2.0 / 2.0),
+             (r_t_hat(att5), -3.0 / 2.0)]
     for kernel, limit in cases:
         assert kernel(0.0) == pytest.approx(limit, rel=1e-15)
         for w in (1e-9, 1e-10, 1e-11, 1e-12, -1e-12):
@@ -255,9 +261,9 @@ def test_kink_S_unitarity_and_normalization(xxx, repulsive4):
 def test_s_matrix_ybe(xxx, repulsive4, attractive4, pair):
     for params in (xxx, repulsive4, attractive4):
         l1, l2 = pair
-        assert yang_baxter_residual(s_matrix(params, l1 - l2),
-                                    s_matrix(params, l1),
-                                    s_matrix(params, l2)) < 1e-10
+        lhs, rhs = exchange_sides(s_matrix(params, l1 - l2),
+                                  s_matrix(params, l1), s_matrix(params, l2))
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_s_matrix_pole(xxx):

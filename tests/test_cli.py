@@ -166,6 +166,20 @@ def test_verify_defect_spectrum_tolerance_override(capsys):
     assert code == (0 if all(r["params"]["passed"] for r in recs) else 1)
 
 
+def test_verify_defect_spectrum_failure_is_explained(capsys):
+    # a spectrum record that fails --tol says why, although the residual
+    # is inside the check's built-in tolerance
+    code, out, _ = run_cli(capsys, [
+        "verify", "defect-spectrum", "--model", "xxz", "--mu", "0.3",
+        "--spin", "1", "--tol", "1e-30"])
+    rec = json_lines(out)[0]
+    assert code == 1
+    assert 0.0 < rec["residual"] <= 1e-8
+    assert rec["params"]["tol"] == 1e-30
+    assert rec["params"]["passed"] is False
+    assert "discrepancy" in rec["params"]
+
+
 def test_verify_seed_determinism(capsys):
     _, out1, _ = run_cli(capsys, ["verify", "ybe", "--seed", "5"])
     _, out2, _ = run_cli(capsys, ["verify", "ybe", "--seed", "5"])

@@ -140,6 +140,20 @@ def test_ybe_trig(lam1, lam2):
     assert ybe_residual(params, lam1, lam2) < 1e-11
 
 
+def test_ybe_residual_is_the_explicit_triple_product(xxx, trig, rng):
+    # R12 R13 R23 - R23 R13 R12 embedded slot by slot on three spin-1/2
+    # spaces; ybe_residual reaches the same max-norm through rll_residual
+    dims = [2, 2, 2]
+    for params in (xxx, trig):
+        for lam1, lam2 in rng.uniform(-2.0, 2.0, size=(20, 2)):
+            r12 = two_site_operator(r_matrix(params, lam1 - lam2), dims, 0, 1)
+            r13 = two_site_operator(r_matrix(params, lam1), dims, 0, 2)
+            r23 = two_site_operator(r_matrix(params, lam2), dims, 1, 2)
+            explicit = float(np.max(np.abs(r12 @ r13 @ r23
+                                           - r23 @ r13 @ r12)))
+            assert ybe_residual(params, lam1, lam2) == explicit
+
+
 @pytest.mark.parametrize("S", [0.5, 1.0, 1.5, 2.0])
 def test_rll_both_families(xxx, trig, S, rng):
     for params in (xxx, trig):

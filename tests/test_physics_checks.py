@@ -30,8 +30,8 @@ def _tfn(params, spin):
 def test_rational_defect_spectrum(xxx, S, lam):
     rep = build_rep(S, xxx)
     n = rep.dim
-    vals, res = pc.defect_spectrum_closed_form(xxx, rep, lam)
-    assert res <= 1e-12
+    assert pc.defect_spectrum_report(xxx, rep, lam).residual <= 1e-12
+    vals = pc.closed_form_defect_eigenvalues(xxx, rep, lam)
     up, dn = complex(lam) + 0.5j * n, complex(lam) - 0.5j * n
     n_up = sum(1 for v in vals if abs(v - up) < 1e-12)
     n_dn = sum(1 for v in vals if abs(v - dn) < 1e-12)
@@ -48,8 +48,7 @@ def test_rational_defect_spectrum(xxx, S, lam):
 def test_trig_defect_spectrum(S, mu, lam):
     params = ModelParameters.xxz(mu)
     rep = build_rep(S, params)
-    _, res = pc.defect_spectrum_closed_form(params, rep, lam)
-    assert res <= 1e-12
+    assert pc.defect_spectrum_report(params, rep, lam).residual <= 1e-12
 
 
 def test_spectrum_reports(xxx, trig):
