@@ -11,25 +11,13 @@ The transmission checks take one defect's DefectRegimeData alone.
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import amplitudes
 from .errors import DegenerateSpectrum, DomainError
 from .lax_operators import defect_lax, exchange_sides
-from .spin_algebra import REPULSIVE, casimir, total_spin_operator
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one named check, in a shape the CLI can serialize."""
-
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
-    details: dict = field(default_factory=dict)
+from .spin_algebra import REPULSIVE, casimir
 
 
 def closed_form_defect_eigenvalues(params, rep, lam):
@@ -89,7 +77,7 @@ def _check_generic(closed):
 
 
 def defect_spectrum_report(params, rep, lam, tol=None):
-    """CheckReport for the closed-form-vs-diagonalization spectrum test.
+    """(residual, tol, details) of the closed-form-vs-diagonalization test.
 
     The residual is the max distance under an optimal multiset pairing of
     the closed form with numpy's spectrum of the same matrix, and
@@ -104,43 +92,16 @@ def defect_spectrum_report(params, rep, lam, tol=None):
     _check_generic(closed)
     diag = np.linalg.eigvals(defect_lax(params, rep, complex(lam)))
     residual = _multiset_match_residual(closed, diag)
-    diag = sorted(diag, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    details = {
-        "family": params.family,
-        "spin": rep.spin,
-        "lambda": [complex(lam).real, complex(lam).imag],
-        "closed_form": [[z.real, z.imag] for z in sorted(
-            closed, key=lambda z: (round(z.real, 9), round(z.imag, 9)))],
-        "diagonalized": [[complex(z).real, complex(z).imag] for z in diag],
-    }
-    passed = residual <= tol
-    if not passed:
+    details = {"family": params.family, "spin": rep.spin,
+               "lambda": [complex(lam).real, complex(lam).imag]}
+    for name, vals in (("closed_form", closed), ("diagonalized", diag)):
+        details[name] = [[complex(z).real, complex(z).imag] for z in sorted(
+            vals, key=lambda z: (round(z.real, 9), round(z.imag, 9)))]
+    if residual > tol:
         details["discrepancy"] = (
             "closed form and diagonalization disagree beyond tolerance; "
             "treat the diagonalized multiset as ground truth")
-    return CheckReport(name="defect-spectrum", passed=passed,
-                       residual=residual, tolerance=tol, details=details)
-
-
-def defect_spin_spectrum(rep):
-    """Closed-form multiset of total z-spin values on aux x rep.
-
-    Extremal values +-(S + 1/2) once each, every interior value
-    S + 1/2 - k twice.  Sorted descending.
-    """
-    s = rep.spin
-    vals = [s + 0.5]
-    for k in range(1, rep.dim):
-        vals.extend([s + 0.5 - k] * 2)
-    vals.append(-s - 0.5)
-    return sorted(vals, reverse=True)
-
-
-def defect_spin_spectrum_residual(rep):
-    """Gap between the closed spin multiset and the diagonalized one."""
-    closed = np.array(sorted(defect_spin_spectrum(rep)))
-    diag = np.sort(np.linalg.eigvalsh(total_spin_operator(rep)))
-    return float(np.max(np.abs(closed - diag)))
+    return residual, tol, details
 
 
 def _product_residual(left, right, scalar=1.0):
@@ -237,9 +198,9 @@ def m_matrix_casimir_identity(rep, lam):
     companion M^{t1}(lam+i) M^{t1}(-lam+i) = scalar * I, with
     scalar = (i lam + S + 1/2)(-i lam + S + 1/2) in the isotropic case
     and sin(mu(i lam + S + 1/2)) sin(mu(-i lam + S + 1/2)) in the
-    deformed one (mu = rep.deformation; None is isotropic).  Both scalars
-    are fixed by the Casimir: lam^2 + C and cos(2 i mu lam)/2 - C_q/4
-    respectively.  Returns the worst residual.
+    deformed one (mu = rep.deformation; None is isotropic).  The third
+    residual compares it with lam^2 + C, or cos(2 i mu lam)/2 - C_q/4,
+    with C read off rep's Casimir matrix.  Returns the worst residual.
     """
     lam = complex(lam)
     s = rep.spin

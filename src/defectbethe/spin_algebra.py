@@ -1,9 +1,8 @@
 """Finite-dimensional spin representations and model parameters.
 
 Provides the spin-S matrices for the isotropic (sl2) and anisotropic
-(U_q(sl2) with q on the unit circle) families, q-numbers, Casimir
-operators, and the total-spin operator on the doubled space used by the
-defect eigenvalue checks.
+(U_q(sl2) with q on the unit circle) families, q-numbers and Casimir
+operators.
 """
 
 from __future__ import annotations
@@ -187,36 +186,26 @@ def build_rep(S, params):
 
 
 def casimir(rep):
-    """Casimir matrix and its scalar value.
+    """Casimir matrix and the scalar read off it (its mean diagonal).
 
-    Isotropic: Sz^2 + (Sm Sp + Sp Sm)/2 + 1/4, equal to (2S+1)^2/4 times
-    the identity.  Deformed: 2 (cos(mu (2 Sz + 1)) - 2 sin^2(mu) Sm Sp),
-    equal to 2 cos(mu (2S+1)).  Raises NotScalarError if the matrix fails
-    to be scalar, which signals a broken representation.
+    Isotropic: Sz^2 + (Sm Sp + Sp Sm)/2 + 1/4.  Deformed:
+    2 (cos(mu (2 Sz + 1)) - 2 sin^2(mu) Sm Sp).  Raises NotScalarError if
+    the matrix fails to be that scalar times the identity, which signals a
+    broken representation.
     """
-    n = rep.dim
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(rep.dim, dtype=complex)
     if rep.deformation is None:
         mat = rep.Sz @ rep.Sz + 0.5 * (rep.Sm @ rep.Sp + rep.Sp @ rep.Sm) \
             + 0.25 * eye
-        scalar = (2 * rep.spin + 1) ** 2 / 4.0
     else:
         mu = rep.deformation
         # cos of the diagonal operator mu (2 Sz + 1), entrywise on the diagonal
         cos_diag = np.diag(np.cos(mu * (2 * np.real(np.diag(rep.Sz)) + 1.0)))
-        mat = 2.0 * (cos_diag.astype(complex)
-                     - 2.0 * math.sin(mu) ** 2 * rep.Sm @ rep.Sp)
-        scalar = 2.0 * math.cos(mu * (2 * rep.spin + 1))
+        mat = 2.0 * (cos_diag - 2.0 * math.sin(mu) ** 2 * rep.Sm @ rep.Sp)
+    scalar = complex(np.trace(mat)) / rep.dim
     residual = float(np.max(np.abs(mat - scalar * eye)))
     if residual > 1e-12:
         raise NotScalarError(
             f"Casimir deviates from scalar*I by {residual:.3e}")
     return mat, scalar
 
-
-def total_spin_operator(rep):
-    """z-component of total spin on (aux spin-1/2) x (rep): sz x I + I x Sz."""
-    sz_half = np.diag([0.5, -0.5]).astype(complex)
-    eye_aux = np.eye(2, dtype=complex)
-    eye_rep = np.eye(rep.dim, dtype=complex)
-    return np.kron(sz_half, eye_rep) + np.kron(eye_aux, rep.Sz)

@@ -95,6 +95,41 @@ def string_seed(center, length):
             for j in range(1, length + 1)]
 
 
+def bethe_number_seeds(chain, M):
+    """Real seeds from the free-magnon Bethe numbers I in Z or Z+1/2.
+
+    Bisection on |x| <= N+1 solves N theta_1(x) + theta_2S(x - theta) =
+    2 pi I, skipping an I with no sign change there; theta_n(x) is
+    2 atan(2x/n), or 2 atan(cot(n mu/2) tanh(mu x)) when trigonometric.
+    Each run of M consecutive roots, I all in Z or all in Z+1/2, is a seed.
+    """
+    def phase(n, x):  # atan2 keeps a spin-0 defect (n = 0) finite
+        if chain.params.is_rational:
+            return 2.0 * math.atan2(2.0 * x, n)
+        mu = chain.params.anisotropy
+        return 2.0 * math.atan2(math.cos(n * mu / 2) * math.tanh(mu * x),
+                                math.sin(n * mu / 2))
+
+    def above(x, k):  # is the left side above 2 pi I = pi k at x?
+        return chain.N * phase(1.0, x) \
+            + phase(2.0 * chain.defect_spin, x - chain.theta) > math.pi * k
+
+    seeds = []
+    for first in (-chain.N - 1, -chain.N):  # one parity of k = 2I per pass
+        roots = []
+        for k in range(first, chain.N + 2, 2):
+            lo, hi = -chain.N - 1.0, chain.N + 1.0
+            side = above(lo, k)
+            if side == above(hi, k):
+                continue
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if above(mid, k) == side else (lo, mid)
+            roots.append(0.5 * (lo + hi))
+        seeds.extend(roots[i:i + M] for i in range(len(roots) - M + 1))
+    return seeds
+
+
 # ---------------------------------------------------------------------------
 # transfer matrix machinery
 # ---------------------------------------------------------------------------

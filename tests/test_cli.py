@@ -138,13 +138,18 @@ def test_verify_casimir(capsys):
 
 
 def test_verify_defect_spectrum_emits_multiset(capsys):
+    # one record per spin, carrying both eigenvalue multisets of the
+    # 2(2S+1)-dimensional defect matrix
     code, out, _ = run_cli(capsys, [
-        "verify", "defect-spectrum", "--spin", "0.5"])
+        "verify", "defect-spectrum", "--spin", "0.5", "--spin", "1"])
     assert code == 0
     recs = json_lines(out)
-    assert len(recs) == 2
-    assert recs[1]["params"]["part"] == "spin-multiset"
-    assert recs[1]["params"]["multiset"] == [1.0, 0.0, 0.0, -1.0]
+    assert [r["params"]["spin"] for r in recs] == [0.5, 1.0]
+    for rec, dim in zip(recs, (4, 6)):
+        assert "part" not in rec["params"]
+        assert len(rec["params"]["closed_form"]) == dim
+        assert len(rec["params"]["diagonalized"]) == dim
+        assert rec["residual"] <= rec["params"]["tol"] == 1e-12
 
 
 def test_verify_tolerance_override_fails(capsys):
@@ -157,11 +162,12 @@ def test_verify_tolerance_override_fails(capsys):
 
 
 def test_verify_defect_spectrum_tolerance_override(capsys):
-    # --tol reaches both records: the spectrum and the spin multiset
+    # --tol reaches the one spectrum record of each spin
     code, out, _ = run_cli(capsys, [
-        "verify", "defect-spectrum", "--spin", "1", "--tol", "1e-20"])
+        "verify", "defect-spectrum", "--spin", "1", "--spin", "1.5",
+        "--tol", "1e-20"])
     recs = json_lines(out)
-    assert [r["params"].get("part") for r in recs] == [None, "spin-multiset"]
+    assert [r["params"]["spin"] for r in recs] == [1.0, 1.5]
     assert [r["params"]["tol"] for r in recs] == [1e-20, 1e-20]
     assert code == (0 if all(r["params"]["passed"] for r in recs) else 1)
 
@@ -431,9 +437,9 @@ def test_chain_bae_finds_symmetric_pair(capsys):
 
 
 def test_chain_bae_reports_solver_failures(capsys):
-    # a known hard case: no seed converges to a root set
+    # 3 sites hold no 2-magnon root set, so no seed converges to one
     code, out, err = run_cli(capsys, [
-        "chain", "bae", "--N", "8", "--spin", "0.5", "--magnons", "4",
+        "chain", "bae", "--N", "2", "--spin", "0.5", "--magnons", "2",
         "--seed", "359753"])
     assert code == 1
     assert out == ""
@@ -441,10 +447,24 @@ def test_chain_bae_reports_solver_failures(capsys):
     diag = json.loads(line)
     assert diag["command"] == "chain"
     assert diag["params"]["seed"] == 359753
-    assert diag["seeds_tried"] == 20
-    assert sum(diag["failures"].values()) == 20
+    assert diag["seeds_tried"] == 23
+    assert sum(diag["failures"].values()) == 23
     assert diag["failures"]["NonConvergence"] >= 1
     assert 0.0 < diag["best_residual"] < math.inf
+
+
+@pytest.mark.parametrize("seed", ["0", "10", "359753"])
+def test_chain_bae_finds_eight_site_four_magnon_roots(capsys, seed):
+    # the Bethe-number seeds reach the symmetric root set at every --seed;
+    # the fixed and random seeds alone reach none at most seeds
+    code, out, err = run_cli(capsys, [
+        "chain", "bae", "--N", "8", "--spin", "0.5", "--magnons", "4",
+        "--seed", seed])
+    assert (code, err) == (0, "")
+    roots = sorted(r["re"] for r in json_lines(out)
+                   if r["params"]["solution"] == 0)
+    assert max(abs(r - t) for r, t in zip(
+        roots, [-0.6683, -0.2310, 0.2310, 0.6683])) < 1e-4
 
 
 def test_chain_bae_success_writes_no_diagnostics(capsys):

@@ -30,7 +30,8 @@ def _tfn(params, spin):
 def test_rational_defect_spectrum(xxx, S, lam):
     rep = build_rep(S, xxx)
     n = rep.dim
-    assert pc.defect_spectrum_report(xxx, rep, lam).residual <= 1e-12
+    residual, _, _ = pc.defect_spectrum_report(xxx, rep, lam)
+    assert residual <= 1e-12
     vals = pc.closed_form_defect_eigenvalues(xxx, rep, lam)
     up, dn = complex(lam) + 0.5j * n, complex(lam) - 0.5j * n
     n_up = sum(1 for v in vals if abs(v - up) < 1e-12)
@@ -48,35 +49,20 @@ def test_rational_defect_spectrum(xxx, S, lam):
 def test_trig_defect_spectrum(S, mu, lam):
     params = ModelParameters.xxz(mu)
     rep = build_rep(S, params)
-    assert pc.defect_spectrum_report(params, rep, lam).residual <= 1e-12
+    residual, _, _ = pc.defect_spectrum_report(params, rep, lam)
+    assert residual <= 1e-12
 
 
 def test_spectrum_reports(xxx, trig):
-    rep = build_rep(1.0, xxx)
-    report = pc.defect_spectrum_report(xxx, rep, 0.73)
-    assert report.passed and report.residual <= report.tolerance
-    assert report.name == "defect-spectrum" and report.passed is True
+    residual, tol, details = pc.defect_spectrum_report(
+        xxx, build_rep(1.0, xxx), 0.73)
+    assert residual <= tol == 1e-12
+    assert "discrepancy" not in details
 
-    report = pc.defect_spectrum_report(trig, build_rep(0.5, trig), 0.7)
-    assert report.passed
-    assert "closed_form" in report.details and "diagonalized" in report.details
-
-
-@pytest.mark.parametrize("S", [0.5, 1.0, 1.5])
-def test_defect_spin_spectrum(xxx, S):
-    rep = build_rep(S, xxx)
-    assert pc.defect_spin_spectrum_residual(rep) < 1e-13
-    ms = pc.defect_spin_spectrum(rep)
-    assert abs(sum(ms)) < 1e-12
-    # extremal values once, interior ones twice
-    assert ms.count(S + 0.5) == 1 and ms.count(-(S + 0.5)) == 1
-    for k in range(1, rep.dim):
-        assert ms.count(S + 0.5 - k) == 2
-    assert len(ms) == 2 * rep.dim
-
-
-def test_spin_multiset_spin_half(xxx):
-    assert pc.defect_spin_spectrum(build_rep(0.5, xxx)) == [1.0, 0.0, 0.0, -1.0]
+    residual, tol, details = pc.defect_spectrum_report(
+        trig, build_rep(0.5, trig), 0.7)
+    assert residual <= tol == 1e-8
+    assert "closed_form" in details and "diagonalized" in details
 
 
 # ---------------------------------------------------------------------------

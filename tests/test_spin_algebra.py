@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectbethe.errors import (DimensionCapExceeded, DomainError,
-                                RootOfUnityError)
+                                NotScalarError, RootOfUnityError)
 from defectbethe.spin_algebra import (
     ATTRACTIVE,
     REPULSIVE,
@@ -17,7 +17,6 @@ from defectbethe.spin_algebra import (
     build_rep,
     casimir,
     q_number,
-    total_spin_operator,
 )
 
 
@@ -174,7 +173,7 @@ def test_spin_representation_dim_consistency(xxx):
 
 
 # ---------------------------------------------------------------------------
-# Casimir and total spin
+# Casimir
 # ---------------------------------------------------------------------------
 
 
@@ -194,10 +193,14 @@ def test_trig_casimir_scalar(trig, S):
     assert np.max(np.abs(mat - scalar * np.eye(rep.dim))) < 1e-12
 
 
-def test_total_spin_operator(xxx):
-    rep = build_rep(1.0, xxx)
-    op = total_spin_operator(rep)
-    assert op.shape == (6, 6)
-    assert np.max(np.abs(op - np.diag(np.diag(op)))) == 0.0
-    vals = sorted(np.real(np.diag(op)), reverse=True)
-    assert np.allclose(vals, [1.5, 0.5, 0.5, -0.5, -0.5, -1.5])
+@pytest.mark.parametrize("params", [ModelParameters.xxx(),
+                                    ModelParameters.xxz(0.3)])
+def test_casimir_refuses_broken_rep(params):
+    # one ladder entry scaled: the Casimir diagonal is no longer constant
+    rep = build_rep(1.0, params)
+    sp = rep.Sp.copy()
+    sp[0, 1] *= 1.1
+    broken = SpinRepresentation(spin=1.0, deformation=rep.deformation,
+                                Sz=rep.Sz, Sp=sp, Sm=rep.Sm)
+    with pytest.raises(NotScalarError):
+        casimir(broken)

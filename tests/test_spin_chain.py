@@ -34,6 +34,8 @@ from defectbethe.spin_chain import (
     BetheState,
     ChainSpec,
     bae_residual,
+    bethe_number_seeds,
+    elementary_ratio,
     hamiltonian,
     hermiticity_residual,
     pseudovacuum,
@@ -155,6 +157,36 @@ def test_bethe_state_validation():
 def test_string_seed():
     seed = string_seed(0.4, 3)
     assert np.allclose(seed, [0.4 + 1j, 0.4, 0.4 - 1j])
+
+
+@pytest.mark.parametrize("spin,theta,trigonometric", [
+    (0.5, 0.0, False), (1.0, 0.3, False), (1.5, 0.2, True)])
+def test_bethe_number_seeds_solve_one_magnon_phase(xxx, trig, spin, theta,
+                                                   trigonometric):
+    # one magnon has no magnon-magnon phase, so each seed solves the
+    # product form up to a sign: P = 1 for one kind of Bethe number and
+    # P = -1 for the other.  The P = 1 seeds are all N finite one-magnon
+    # roots: the sector has N+1 states, one of them the vacuum's descendant
+    params = trig if trigonometric else xxx
+    chain = ChainSpec(N=5, defect_spin=spin, params=params, theta=theta)
+    prods = [elementary_ratio(params, 2 * spin, x - theta)
+             * elementary_ratio(params, 1.0, x) ** 5
+             for (x,) in bethe_number_seeds(chain, 1)]
+    plus = sum(abs(p - 1.0) < 1e-12 for p in prods)
+    minus = sum(abs(p + 1.0) < 1e-12 for p in prods)
+    assert (plus, minus) == (5, len(prods) - 5)
+
+
+def test_bethe_number_seeds_are_runs_of_one_kind(xxx):
+    # each seed is M consecutive roots, ascending, with Bethe numbers of
+    # one kind; the two kinds alternate along the real line
+    chain = ChainSpec(N=4, defect_spin=0.5, params=xxx)
+    ones = sorted(x for (x,) in bethe_number_seeds(chain, 1))
+    threes = bethe_number_seeds(chain, 3)
+    assert len(threes) == len(ones) - 4
+    for seed in threes:
+        i = ones.index(seed[0])
+        assert seed == ones[i:i + 5:2]
 
 
 # ---------------------------------------------------------------------------
