@@ -26,8 +26,7 @@ from .errors import DomainError, NotRealizable, PoleError, RootOfUnityError
 from .lax_operators import defect_lax
 from .special_functions import (AmplitudeValue, GammaProductSpec,
                                 fourier_log_integral, gamma_product,
-                                gamma_products, inverse_fourier_even,
-                                log_gamma)
+                                gamma_products, log_gamma)
 from .spin_algebra import ATTRACTIVE, REPULSIVE, ModelParameters, build_rep
 
 
@@ -178,43 +177,6 @@ def t_b_hat(data):
                           f"2S >= 2 nu - 2, got 2S = {y}")
     return lambda w: math.cosh((nu - y - 1.0) * w / 2.0) \
         / math.cosh((nu - 1.0) * w / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# hole dispersion and state density
-# ---------------------------------------------------------------------------
-
-
-def hole_dispersion(params, lam):
-    """Energy and momentum (eps, p) of a hole (soliton).
-
-    eps is the ground-state density sigma0 in closed form,
-    p = 2 pi Int_0^lam eps, odd by convention.
-    """
-    lam = float(lam)
-    if params.is_rational or params.regime_name == REPULSIVE:
-        scale = 1.0
-    else:
-        scale = params.nu - 1.0
-    eps = 1.0 / (2.0 * scale * math.cosh(math.pi * lam / scale))
-    p = math.atan(math.sinh(math.pi * lam / scale))
-    return eps, p
-
-
-def state_density(data, theta, holes, lam, N):
-    """Finite-size density sigma0 + (1/N)(sum r_s(lam-hole) + r_t(lam-theta))
-    with the defect at rapidity theta.
-
-    The correction kernels are inverse-transformed by quadrature; only
-    sigma0 uses its closed form.
-    """
-    eps, _ = hole_dispersion(data.params, lam)
-    r_s = r_s_hat(data.params)
-    corr = 0.0
-    for h in holes:
-        corr += inverse_fourier_even(r_s, lam - h)[0]
-    corr += inverse_fourier_even(r_t_hat(data), lam - theta)[0]
-    return float(eps + corr / N)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +484,12 @@ def breather_T(data, n, lam_hat):
     """Transmission amplitude of an n-breather through the defect."""
     if n < 1:
         raise DomainError("breather label must be >= 1")
+    if data.branch_index >= 1:
+        raise DomainError(
+            f"breather T is confirmed on branch m = 0 only, got m = "
+            f"{data.branch_index}: on the attractive branches m >= 1 the "
+            f"kink-ladder bootstrap disagrees with this form, and which "
+            f"holds is open")
     lam_hat = complex(lam_hat)
     gamma, (eta1, eta2) = data.gamma, data.breather_shifts
     out = 1.0 + 0.0j

@@ -410,18 +410,6 @@ def fourier_log_integral(kernel, lam):
     return AmplitudeValue(value=amp, err=float(2.0 * abs(amp) * err), terms_used=n)
 
 
-def inverse_fourier_even(kernel, x):
-    """(1/2pi) int_-inf^inf e^{-i w x} K(w) dw = (1/pi) int_0^inf cos(w x) K(w) dw.
-
-    Returns (value, abs_err); raises NonConvergence when quad fails.
-    """
-    x = float(x)
-    omega_max = _cutoff_for(kernel)
-    val, err, _ = _half_line_quad(lambda w: math.cos(w * x) * kernel(w), x,
-                                  omega_max, _QUAD_TOL)
-    return val / math.pi, err / math.pi
-
-
 # ---------------------------------------------------------------------------
 # Gamma/integral cross-identities
 # ---------------------------------------------------------------------------

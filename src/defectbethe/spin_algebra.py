@@ -127,10 +127,7 @@ def q_number(x, mu):
     """[x]_q = sin(mu x)/sin(mu) for q = e^{i mu} on the unit circle."""
     if not (0.0 < mu < math.pi):
         raise ValueError("mu must lie in (0, pi)")
-    s = math.sin(mu)
-    if s == 0.0:
-        raise ValueError("sin(mu) vanishes")
-    return math.sin(mu * x) / s
+    return math.sin(mu * x) / math.sin(mu)
 
 
 def _check_half_integer(S):

@@ -161,13 +161,6 @@ def transfer(chain, lam):
     return diagonal[0] + diagonal[1]
 
 
-def pseudovacuum(chain):
-    """All spins up, defect on its highest-weight state."""
-    v = np.zeros(chain.hilbert_dim, dtype=complex)
-    v[0] = 1.0
-    return v
-
-
 def _local_terms(chain):
     """Minus the Hamiltonian as a list of (slots, matrix) local terms.
 

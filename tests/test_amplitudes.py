@@ -25,7 +25,6 @@ from defectbethe.amplitudes import (
     corrigan_form,
     corrigan_product_spec,
     corrigan_variables,
-    hole_dispersion,
     kink_S_amplitude,
     kink_S_amplitudes,
     kink_S_by_integral,
@@ -35,7 +34,6 @@ from defectbethe.amplitudes import (
     r_t_hat,
     s_matrix,
     shifted_spin_rep,
-    state_density,
     t_b_hat,
     transmission_amplitude,
     transmission_amplitudes,
@@ -206,33 +204,6 @@ def test_sinh_ratio_kernels_at_removable_point(repulsive4, attractive4):
         assert kernel(0.0) == pytest.approx(limit, rel=1e-15)
         for w in (1e-9, 1e-10, 1e-11, 1e-12, -1e-12):
             assert kernel(w) == pytest.approx(limit, rel=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# dispersion / densities
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("lam", [-1.3, 0.0, 0.8])
-def test_hole_dispersion_density_relation(xxx, repulsive4, attractive4, lam):
-    # dp/dlam = 2 pi eps for every regime
-    h = 1e-6
-    for params in (xxx, repulsive4, attractive4):
-        eps, _ = hole_dispersion(params, lam)
-        _, pp = hole_dispersion(params, lam + h)
-        _, pm = hole_dispersion(params, lam - h)
-        assert abs((pp - pm) / (2 * h) - 2.0 * math.pi * eps) < 1e-8
-        assert eps > 0.0
-
-
-def test_state_density_finite_size_scaling(xxx):
-    data = DefectRegimeData.from_params(xxx, 1.0)
-    lam = 0.7
-    eps, _ = hole_dispersion(xxx, lam)
-    d1 = state_density(data, 0.3, holes=[0.1], lam=lam, N=64)
-    d2 = state_density(data, 0.3, holes=[0.1], lam=lam, N=128)
-    assert abs(d2 - eps) < abs(d1 - eps)
-    assert abs((d1 - eps) / (d2 - eps) - 2.0) < 1e-6  # strict 1/N correction
 
 
 # ---------------------------------------------------------------------------

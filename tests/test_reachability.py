@@ -1,9 +1,10 @@
-"""Every public function and class in src/ has a caller outside the tests.
+"""Every public function and class in src/ has a caller outside the tests,
+and the two routes of each amplitude share no code.
 
 The walk goes by name over the source's syntax trees.  Its roots are
-cli.main (the console script), every module-level statement, every name
-tests/test_acceptance.py uses, and ALLOWED.  A reached definition reaches
-every definition whose name appears in its body, as a plain name or as an
+cli.main (the console script), every module-level statement and every
+name tests/test_acceptance.py uses.  A reached definition reaches every
+definition whose name appears in its body, as a plain name or as an
 attribute; a reached class reaches its bases, decorators, class-level
 statements and dunder methods, while its other methods need their own
 caller.  It sees whole functions, not dead branches: an unused branch of
@@ -19,12 +20,32 @@ import defectbethe
 SRC = Path(defectbethe.__file__).resolve().parent
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
-# Public definitions kept without a caller, each with the ROADMAP item
-# that keeps it.
-ALLOWED = {
-    "state_density": "item 6: checked against z'/N of finite-N roots",
-    "hole_dispersion": "item 6: the p(lambda) of the transmission phase",
-    "pseudovacuum": "item 2: the vacuum energy of the energy route",
+# The entry functions of each amp kind's product and integral routes.
+ROUTE_PAIRS = [
+    ("kink_S_amplitudes", "kink_S_by_integral"),
+    ("transmission_amplitudes", "transmission_by_integral"),
+    ("breather_S", "breather_S_by_integral"),
+    ("breather_T", "breather_T_by_integral"),
+]
+
+# What the two routes of some pair both reach, each with the reason it may.
+_ERRORS = "an error class: refusing an input is no computation"
+_INPUT = "a property of the model or the defect, the input both routes read"
+SHARED = {
+    "DefectBetheError": _ERRORS,
+    "DomainError": _ERRORS,
+    "NonConvergence": _ERRORS,
+    "__init__": "NonConvergence.__init__, which stores its best residual",
+    "AmplitudeValue": "the value, err and term count every route returns",
+    "anisotropy": _INPUT,
+    "is_rational": _INPUT,
+    "nu": _INPUT,
+    "regime": _INPUT,
+    "regime_name": _INPUT,
+    "branch_index": "the window m of the defect's data, set once by "
+                    "DefectRegimeData.from_params: a wrong window passes "
+                    "both routes unseen",
+    "_window": "the rule behind branch_index",
 }
 
 
@@ -46,24 +67,51 @@ def _body(node):
         or s.name.startswith("__"))]
 
 
-def test_every_public_definition_is_reached():
-    defs, todo = {}, ["main", *ALLOWED]
+def _definitions():
+    """(defs, module_names): every function and class of src/ by name, and
+    the names its module-level statements use."""
+    defs, module_names = {}, []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.setdefault(node.name, []).append(node)
-        todo.extend(_names(s for s in tree.body if not isinstance(
+        module_names.extend(_names(s for s in tree.body if not isinstance(
             s, (ast.FunctionDef, ast.ClassDef))))
-    todo.extend(_names([ast.parse(ACCEPTANCE.read_text())]))
-    reached = set()
+    return defs, module_names
+
+
+def _reached(defs, roots):
+    """The definition names reached from roots, the roots included."""
+    todo, reached = list(roots), set()
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
             for node in defs.get(name, ()):
                 todo.extend(_names(_body(node)))
+    return reached & set(defs)
+
+
+def test_every_public_definition_is_reached():
+    defs, module_names = _definitions()
+    reached = _reached(defs, ["main", *module_names,
+                              *_names([ast.parse(ACCEPTANCE.read_text())])])
     unreached = sorted(n for n in defs
                        if not n.startswith("_") and n not in reached)
     assert not unreached, f"public but never called: {', '.join(unreached)}"
-    assert set(ALLOWED) <= set(defs), "stale ALLOWED entry"
+
+
+def test_route_pairs_share_no_code():
+    """What both routes of a pair reach is in SHARED.  The walk sees names,
+    not branches: a route reaches every name of a function it calls,
+    whichever branch it takes, and code copied under a new name passes
+    unseen."""
+    defs, _ = _definitions()
+    shared = set()
+    for product, integral in ROUTE_PAIRS:
+        both = _reached(defs, [product]) & _reached(defs, [integral])
+        extra = sorted(both - set(SHARED))
+        assert not extra, f"{product} and {integral} share {extra}"
+        shared |= both
+    assert set(SHARED) <= shared, "stale SHARED entry"

@@ -30,7 +30,6 @@ from defectbethe.special_functions import (
     gamma_products,
     identity_use1_residual,
     identity_use2_residual,
-    inverse_fourier_even,
     log_gamma,
 )
 
@@ -267,14 +266,6 @@ def test_fourier_log_integral_is_phase():
     assert abs(out.value - expected) < 1e-8
 
 
-def test_inverse_fourier_even_sech_pair():
-    # (1/pi) int_0^inf cos(w x) / (2 cosh(w/2)) dw = 1 / (2 cosh(pi x))
-    kern = lambda w: 1.0 / (2.0 * math.cosh(0.5 * w))
-    for x in (0.0, 0.4, 1.1, 2.6):
-        val, err = inverse_fourier_even(kern, x)
-        assert abs(val - 0.5 / math.cosh(math.pi * x)) < 1e-9
-
-
 def test_fourier_routes_raise_on_quad_failure(monkeypatch):
     msg = "The maximum number of subdivisions (600) has been achieved."
 
@@ -286,8 +277,6 @@ def test_fourier_routes_raise_on_quad_failure(monkeypatch):
     kern = lambda w: math.exp(-0.9 * w)
     with pytest.raises(NonConvergence, match="maximum number of subdivisions"):
         fourier_sine_integral(kern, 1.3)
-    with pytest.raises(NonConvergence, match="maximum number of subdivisions"):
-        inverse_fourier_even(kern, 0.4)
     with pytest.raises(NonConvergence, match="maximum number of subdivisions"):
         identity_use1_residual(1.0)
     with pytest.raises(NonConvergence, match="maximum number of subdivisions"):

@@ -38,7 +38,6 @@ from defectbethe.spin_chain import (
     elementary_ratio,
     hamiltonian,
     hermiticity_residual,
-    pseudovacuum,
     solve_bae,
     sector_blocks,
     string_seed,
@@ -230,7 +229,7 @@ def test_transfer_matrices_commute(xxx, trig, S):
 def test_pseudovacuum_is_transfer_eigenvector(xxx, trig):
     for params in (xxx, trig):
         chain = ChainSpec(N=3, defect_spin=1.0, params=params, theta=0.2)
-        v = pseudovacuum(chain)
+        v = np.eye(chain.hilbert_dim)[0]  # all spins up
         tv = transfer(chain, 0.63) @ v
         lam = np.vdot(v, tv)
         assert np.linalg.norm(tv - lam * v) < 1e-12
@@ -305,7 +304,7 @@ def test_one_magnon_energy_four_site_chain(xxx):
     assert abs(lam - 0.5) < 1e-12
 
     h = hamiltonian(chain)
-    e_vac = float(np.real(np.vdot(pseudovacuum(chain), h @ pseudovacuum(chain))))
+    e_vac = float(np.real(h[0, 0]))  # all spins up
     assert abs(e_vac + 4.0) < 1e-12
     target = e_vac + 1.0 / (abs(lam) ** 2 + 0.25)
 
