@@ -60,17 +60,16 @@ def _window(y, width):
 class DefectRegimeData:
     """Derived constants attached to one defect in one coupling regime.
 
-    params          -- the model they derive from; regime ('rational' |
-                       'repulsive' | 'attractive') and gamma read it
-    spin            -- defect spin S
-    branch_index    -- periodicity window index m (0 in the rational case)
-    shifted_spin    -- spin seen by the scattering data after the Bethe
-                       shift: S - 1/2 rational, S - m - 1/2 repulsive,
-                       m attractive
-    coupling        -- S + gamma/2, the combination steering the
-                       attractive-regime transmission poles (None outside)
-    breather_shifts -- (eta_1, eta_2) rapidity shifts of the breather
-                       transmission amplitude (attractive only)
+    params       -- the model they derive from, held once: gamma is
+                    params.gamma, and regime ('rational' | 'repulsive' |
+                    'attractive') reads params.regime
+    spin         -- defect spin S
+    branch_index -- periodicity window index m (0 in the rational case)
+    shifted_spin -- spin seen by the scattering data after the Bethe
+                    shift: S - 1/2 rational, S - m - 1/2 repulsive,
+                    m attractive
+    coupling     -- S + gamma/2, the combination steering the
+                    attractive-regime transmission poles (None outside)
 
     A constant offset o added to i*lam_hat is the rapidity lam_hat - i*o.
     """
@@ -80,15 +79,10 @@ class DefectRegimeData:
     branch_index: int
     shifted_spin: float
     coupling: float | None = None
-    breather_shifts: tuple | None = None
 
     @property
     def regime(self):
         return self.params.regime or "rational"
-
-    @property
-    def gamma(self):
-        return 0.0 if self.params.is_rational else self.params.gamma
 
     @classmethod
     def from_params(cls, params, spin):
@@ -99,11 +93,8 @@ class DefectRegimeData:
         if params.is_rational or params.regime_name == REPULSIVE:
             return cls(params, spin, branch_index=m,
                        shifted_spin=spin - m - 0.5)
-        g = params.gamma
-        xi = spin + g / 2.0
-        eta = (1j * math.pi * xi / g, 1j * math.pi * -xi / g)
         return cls(params, spin, branch_index=m, shifted_spin=float(m),
-                   coupling=xi, breather_shifts=eta)
+                   coupling=spin + params.gamma / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +310,7 @@ def transmission_amplitudes(data, lam_hats):
                              -0.5j * lam_hats + st / 2.0 + 0.25,
                              0.5j * lam_hats + st / 2.0 + 0.25,
                              -0.5j * lam_hats + st / 2.0 + 0.75)
-    g = data.gamma
+    g = data.params.gamma
     if data.regime == REPULSIVE:
         specs = [transmission_product_spec_repulsive(
             1j * g * complex(lam_hat), g, data.shifted_spin,
@@ -364,7 +355,7 @@ def transmission_matrix(data, lam_hat):
     if data.regime == "rational":
         den = 1j * lam_hat + st + 0.5
     else:
-        den = np.sin(rep.deformation * (1j * lam_hat + st + 0.5))
+        den = np.sin(rep.params.anisotropy * (1j * lam_hat + st + 0.5))
     if abs(den) < 1e-13:
         raise PoleError("transmission matrix prefactor pole")
     return (t_first / den) * transmission_blocks(rep, lam_hat)
@@ -373,14 +364,12 @@ def transmission_matrix(data, lam_hat):
 def transmission_blocks(rep, lam):
     """The bare 2x2-block matrix [[A, B], [C, D]] on aux x rep.
 
-    Undeformed rep (deformation None): A, D = (i lam + 1/2) +- Sz,
-    B = S-, C = S+.  Deformed by mu: A, D = sin(mu (i lam +- Sz + 1/2)),
-    B = sin(mu) S-, C = sin(mu) S+.  That is -i times the spin-S Lax
-    matrix of rep's family at -lam.
+    Rational rep: A, D = (i lam + 1/2) +- Sz, B = S-, C = S+.  Deformed
+    by mu = rep.params.mu: A, D = sin(mu (i lam +- Sz + 1/2)),
+    B = sin(mu) S-, C = sin(mu) S+.  That is -i times rep's own Lax
+    matrix at -lam.
     """
-    family = ModelParameters.xxx() if rep.deformation is None \
-        else ModelParameters.xxz(rep.deformation)
-    return -1j * defect_lax(family, rep, -complex(lam))
+    return -1j * defect_lax(rep, -complex(lam))
 
 
 def shifted_spin_rep(data):
@@ -393,7 +382,7 @@ def shifted_spin_rep(data):
         raise NotRealizable("no finite attractive representation")
     try:
         family = ModelParameters.xxx() if data.regime == "rational" \
-            else ModelParameters.xxz(math.pi * data.gamma)
+            else ModelParameters.xxz(math.pi * data.params.gamma)
         return build_rep(data.shifted_spin, family)
     except (ValueError, RootOfUnityError) as exc:
         raise NotRealizable(
@@ -457,11 +446,11 @@ def _breather_S_11(lam, gamma):
     return -num / den
 
 
-def breather_S(n1, n2, lam, gamma):
+def breather_S(params, n1, n2, lam):
     """Scattering amplitude of an n1- on an n2-breather (fusion product)."""
     if n1 < 1 or n2 < 1:
         raise DomainError("breather labels must be >= 1")
-    lam = complex(lam)
+    lam, gamma = complex(lam), params.gamma
     out = 1.0 + 0.0j
     for l1 in range(1, n1 + 1):
         for l2 in range(1, n2 + 1):
@@ -490,8 +479,8 @@ def breather_T(data, n, lam_hat):
             f"{data.branch_index}: on the attractive branches m >= 1 the "
             f"kink-ladder bootstrap disagrees with this form, and which "
             f"holds is open")
-    lam_hat = complex(lam_hat)
-    gamma, (eta1, eta2) = data.gamma, data.breather_shifts
+    lam_hat, xi, gamma = complex(lam_hat), data.coupling, data.params.gamma
+    eta1, eta2 = 1j * math.pi * xi / gamma, 1j * math.pi * -xi / gamma
     out = 1.0 + 0.0j
     for l in range(1, n + 1):
         out *= _breather_T_1(lam_hat + 0.5j * (n + 1 - 2 * l),

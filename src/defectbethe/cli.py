@@ -84,6 +84,8 @@ def _model(args):
     if args.model == "xxx":
         if args.regime is not None:
             raise DefectBetheError("the isotropic model has no regime")
+        if args.mu is not None:
+            raise DefectBetheError("the isotropic model has no --mu")
         return ModelParameters.xxx()
     if args.mu is None:
         raise DefectBetheError("--model xxz requires --mu")
@@ -152,7 +154,7 @@ def _cmd_verify(args, emitter):
         for spin in _rep_spin_list(args, params, base):
             rep = build_rep(spin, params)
             pairs = rng.uniform(-2.0, 2.0, size=(args.samples, 2))
-            worst = max(lax.rll_residual(params, rep, l1, l2)
+            worst = max(lax.rll_residual(rep, l1, l2)
                         for l1, l2 in pairs)
             report(worst, tol, spin=spin)
     elif args.what == "rtt":
@@ -197,7 +199,7 @@ def _cmd_verify(args, emitter):
         for spin in _rep_spin_list(args, params, base):
             rep = build_rep(spin, params)
             residual, tol, details = checks.defect_spectrum_report(
-                params, rep, 0.73, args.tol)
+                rep, 0.73, args.tol)
             report(residual, tol, **details)
     return 1 if failed else 0
 
@@ -216,7 +218,7 @@ def _product_route(args, subject, grid):
     if args.kind == "transmission":
         return amp.transmission_amplitudes(subject, grid - args.theta)
     if args.kind == "breather-s":
-        vals = [amp.breather_S(args.n1, args.n2, lam, subject.gamma)
+        vals = [amp.breather_S(subject, args.n1, args.n2, lam)
                 for lam in grid]
     else:
         vals = [amp.breather_T(subject, args.n1, lam - args.theta)

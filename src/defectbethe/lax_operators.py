@@ -50,17 +50,18 @@ def permutation_matrix():
     return p
 
 
-def defect_lax(params, rep, lam):
-    """Lax matrix of a spin-S site on (aux 2) x (rep dim), aux first."""
+def defect_lax(rep, lam):
+    """Lax matrix of a spin-S site on (aux 2) x (rep dim), aux first; the
+    rep's model picks the sl2 or the U_q(sl2) form."""
     n = rep.dim
     eye = np.eye(n, dtype=complex)
-    if params.is_rational:
+    if rep.params.is_rational:
         a = lam * eye + 1j * rep.Sz + 0.5j * eye
         d = lam * eye - 1j * rep.Sz + 0.5j * eye
         b = 1j * rep.Sm
         c = 1j * rep.Sp
     else:
-        mu = params.anisotropy
+        mu = rep.params.anisotropy
         sz_diag = np.real(np.diag(rep.Sz))
         a = np.diag(np.sinh(mu * (lam + 1j * sz_diag + 0.5j))).astype(complex)
         d = np.diag(np.sinh(mu * (lam - 1j * sz_diag + 0.5j))).astype(complex)
@@ -70,12 +71,12 @@ def defect_lax(params, rep, lam):
     return np.block([[a, b], [c, d]])
 
 
-def d_defect_lax(params, rep, lam):
+def d_defect_lax(rep, lam):
     """Derivative of defect_lax in the spectral parameter."""
     n = rep.dim
-    if params.is_rational:
+    if rep.params.is_rational:
         return np.kron(np.eye(2, dtype=complex), np.eye(n, dtype=complex))
-    mu = params.anisotropy
+    mu = rep.params.anisotropy
     sz_diag = np.real(np.diag(rep.Sz))
     a = np.diag(mu * np.cosh(mu * (lam + 1j * sz_diag + 0.5j)))
     d = np.diag(mu * np.cosh(mu * (lam - 1j * sz_diag + 0.5j)))
@@ -85,11 +86,11 @@ def d_defect_lax(params, rep, lam):
 
 def r_matrix(params, lam):
     """Bulk 4x4 R-matrix: the spin-1/2 case of the defect Lax matrix."""
-    return defect_lax(params, build_rep(0.5, params), lam)
+    return defect_lax(build_rep(0.5, params), lam)
 
 
 def d_r_matrix(params, lam):
-    return d_defect_lax(params, build_rep(0.5, params), lam)
+    return d_defect_lax(build_rep(0.5, params), lam)
 
 
 def regularity_scale(params):
@@ -112,15 +113,14 @@ def exchange_sides(r12, l1, l2):
     return r @ a @ b, b @ a @ r
 
 
-def rll_residual(params, rep, lam1, lam2):
+def rll_residual(rep, lam1, lam2):
     """Quadratic-algebra residual of the defect Lax matrix.
 
     max-norm of R12(l1-l2) L1(l1) L2(l2) - L2(l2) L1(l1) R12(l1-l2) on
-    aux1 x aux2 x rep.
+    aux1 x aux2 x rep, with R of rep's model.
     """
-    lhs, rhs = exchange_sides(r_matrix(params, lam1 - lam2),
-                              defect_lax(params, rep, lam1),
-                              defect_lax(params, rep, lam2))
+    lhs, rhs = exchange_sides(r_matrix(rep.params, lam1 - lam2),
+                              defect_lax(rep, lam1), defect_lax(rep, lam2))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -131,4 +131,4 @@ def ybe_residual(params, lam1, lam2):
     The spin-1/2 Lax matrix is the R-matrix, so this is rll_residual at
     spin 1/2.
     """
-    return rll_residual(params, build_rep(0.5, params), lam1, lam2)
+    return rll_residual(build_rep(0.5, params), lam1, lam2)

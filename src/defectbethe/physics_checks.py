@@ -20,7 +20,7 @@ from .lax_operators import defect_lax, exchange_sides
 from .spin_algebra import REPULSIVE, casimir
 
 
-def closed_form_defect_eigenvalues(params, rep, lam):
+def closed_form_defect_eigenvalues(rep, lam):
     """Closed-form spectrum of the one-site defect matrix, with multiplicity.
 
     The eigenvector ansatz pairs the two extremal weight vectors with the
@@ -33,11 +33,11 @@ def closed_form_defect_eigenvalues(params, rep, lam):
     """
     lam = complex(lam)
     n = rep.dim
-    if params.is_rational:
+    if rep.params.is_rational:
         up = lam + 0.5j * n
         dn = lam - 0.5j * n
         return [up] * (n + 1) + [dn] * (n - 1)
-    mu = params.anisotropy
+    mu = rep.params.anisotropy
     extremal = cmath.sinh(mu * (lam + 0.5j * n))
     vals = [extremal, extremal]
     for k in range(1, n):
@@ -76,7 +76,7 @@ def _check_generic(closed):
                     "separated by less than 1e-10; pick a generic rapidity")
 
 
-def defect_spectrum_report(params, rep, lam, tol=None):
+def defect_spectrum_report(rep, lam, tol=None):
     """(residual, tol, details) of the closed-form-vs-diagonalization test.
 
     The residual is the max distance under an optimal multiset pairing of
@@ -87,12 +87,12 @@ def defect_spectrum_report(params, rep, lam, tol=None):
     documented with both multisets rather than hidden.
     """
     if tol is None:
-        tol = 1e-12 if params.is_rational else 1e-8
-    closed = closed_form_defect_eigenvalues(params, rep, lam)
+        tol = 1e-12 if rep.params.is_rational else 1e-8
+    closed = closed_form_defect_eigenvalues(rep, lam)
     _check_generic(closed)
-    diag = np.linalg.eigvals(defect_lax(params, rep, complex(lam)))
+    diag = np.linalg.eigvals(defect_lax(rep, complex(lam)))
     residual = _multiset_match_residual(closed, diag)
-    details = {"family": params.family, "spin": rep.spin,
+    details = {"family": rep.params.family, "spin": rep.spin,
                "lambda": [complex(lam).real, complex(lam).imag]}
     for name, vals in (("closed_form", closed), ("diagonalized", diag)):
         details[name] = [[complex(z).real, complex(z).imag] for z in sorted(
@@ -152,7 +152,7 @@ def _crossing_ratio(data, lam):
         num = (1j * lam + st + 0.5) * (-1j * lam + st + 0.5)
         den = (1j * lam + st - 0.5) * (-1j * lam + st - 0.5)
     elif data.regime == REPULSIVE:
-        mu = math.pi * data.gamma
+        mu = math.pi * data.params.gamma
         num = (cmath.sin(mu * (1j * lam + st + 0.5))
                * cmath.sin(mu * (-1j * lam + st + 0.5)))
         den = (cmath.sin(mu * (1j * lam + st - 0.5))
@@ -198,15 +198,15 @@ def m_matrix_casimir_identity(rep, lam):
     companion M^{t1}(lam+i) M^{t1}(-lam+i) = scalar * I, with
     scalar = (i lam + S + 1/2)(-i lam + S + 1/2) in the isotropic case
     and sin(mu(i lam + S + 1/2)) sin(mu(-i lam + S + 1/2)) in the
-    deformed one (mu = rep.deformation; None is isotropic).  The third
-    residual compares it with lam^2 + C, or cos(2 i mu lam)/2 - C_q/4,
-    with C read off rep's Casimir matrix.  Returns the worst residual.
+    deformed one, mu = rep.params.mu.  The third residual compares it
+    with lam^2 + C, or cos(2 i mu lam)/2 - C_q/4, with C read off rep's
+    Casimir matrix.  Returns the worst residual.
     """
     lam = complex(lam)
     s = rep.spin
     _, cas = casimir(rep)
-    mu = rep.deformation
-    if mu is None:
+    mu = rep.params.mu
+    if rep.params.is_rational:
         scalar = (1j * lam + s + 0.5) * (-1j * lam + s + 0.5)
         via_casimir = lam * lam + cas
     else:

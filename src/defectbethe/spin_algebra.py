@@ -107,13 +107,14 @@ class ModelParameters:
 class SpinRepresentation:
     """Spin-S matrices: diagonal Sz and ladder operators Sp, Sm.
 
-    deformation is None for the isotropic family, or mu for the
-    q = e^{i mu} deformed one.  Matrices are dense complex, basis ordered
-    by decreasing Sz eigenvalue.
+    params is the model the rep was built from: sl2 for the rational
+    family, U_q(sl2) with q = e^{i mu} for the trigonometric one.  A rep
+    carries its model, so nothing built on it takes the model again.
+    Matrices are dense complex, basis ordered by decreasing Sz eigenvalue.
     """
 
     spin: float
-    deformation: float | None
+    params: ModelParameters
     Sz: np.ndarray = field(repr=False)
     Sp: np.ndarray = field(repr=False)
     Sm: np.ndarray = field(repr=False)
@@ -160,11 +161,9 @@ def build_rep(S, params):
     Sz = np.diag(alphas).astype(complex)
 
     if params.is_rational:
-        deformation = None
         c = [math.sqrt(k * (n - k)) for k in range(1, n)]
     else:
         mu = params.anisotropy
-        deformation = mu
         c = []
         for k in range(1, n):
             prod = q_number(k, mu) * q_number(n - k, mu)
@@ -178,7 +177,7 @@ def build_rep(S, params):
     for k in range(1, n):
         Sp[k - 1, k] = c[k - 1]
     Sm = Sp.T.copy()
-    return SpinRepresentation(spin=float(S), deformation=deformation,
+    return SpinRepresentation(spin=float(S), params=params,
                               Sz=Sz, Sp=Sp, Sm=Sm)
 
 
@@ -191,11 +190,11 @@ def casimir(rep):
     broken representation.
     """
     eye = np.eye(rep.dim, dtype=complex)
-    if rep.deformation is None:
+    if rep.params.is_rational:
         mat = rep.Sz @ rep.Sz + 0.5 * (rep.Sm @ rep.Sp + rep.Sp @ rep.Sm) \
             + 0.25 * eye
     else:
-        mu = rep.deformation
+        mu = rep.params.anisotropy
         # cos of the diagonal operator mu (2 Sz + 1), entrywise on the diagonal
         cos_diag = np.diag(np.cos(mu * (2 * np.real(np.diag(rep.Sz)) + 1.0)))
         mat = 2.0 * (cos_diag - 2.0 * math.sin(mu) ** 2 * rep.Sm @ rep.Sp)

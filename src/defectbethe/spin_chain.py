@@ -148,7 +148,7 @@ def transfer(chain, lam):
     chain.check_cap(2 * d)
     dims = [2] + chain.site_dims
     rep = chain.defect_rep()
-    sites = [defect_lax(chain.params, rep, lam - chain.theta)
+    sites = [defect_lax(rep, lam - chain.theta)
              if k == chain.defect_site else r_matrix(chain.params, lam)
              for k in range(1, chain.N + 2)]
     diagonal = []
@@ -190,9 +190,9 @@ def _local_terms(chain):
     terms = [((idx(j), idx(j + 1)), rdot) for j in range(1, n_sites + 1)
              if j not in (prev_site, n)]
 
-    m_loc = defect_lax(params, rep, -chain.theta)
+    m_loc = defect_lax(rep, -chain.theta)
     m_inv = np.linalg.inv(m_loc)
-    mdot = d_defect_lax(params, rep, -chain.theta)
+    mdot = d_defect_lax(rep, -chain.theta)
     terms.append(((idx(next_site), idx(n)),
                   regularity_scale(params) * (mdot @ m_inv)))
 

@@ -65,7 +65,7 @@ def test_criterion_01_exchange_relations():
             rep = build_rep(S, params)
             pairs = rng.uniform(-2.0, 2.0, size=(20, 2))
             worst_rll = max(worst_rll,
-                            max(rll_residual(params, rep, l1, l2)
+                            max(rll_residual(rep, l1, l2)
                                 for l1, l2 in pairs))
     note(f"criterion 1: ybe worst {worst_ybe:.3e} (tol 1e-12), "
          f"rll worst {worst_rll:.3e} (tol 1e-12)")
@@ -175,7 +175,7 @@ def test_criterion_05_product_integral_duality():
 
     data_b = amp.DefectRegimeData.from_params(ATT4, 1.0)
     gap_over_grid("S_b(1,1)",
-                  lambda lam: amp.breather_S(1, 1, lam, data_b.gamma),
+                  lambda lam: amp.breather_S(ATT4, 1, 1, lam),
                   lambda lam: amp.breather_S_by_integral(ATT4, lam).value)
     gap_over_grid("T_b(1)",
                   lambda lam: amp.breather_T(data_b, 1, lam),
@@ -267,13 +267,13 @@ def test_criterion_08_defect_lax_spectra():
     for S in (0.5, 1.0, 1.5, 2.0):
         rep = build_rep(S, XXX)
         for lam in (0.73, 0.3 + 0.2j):
-            res, _, _ = pc.defect_spectrum_report(XXX, rep, lam)
+            res, _, _ = pc.defect_spectrum_report(rep, lam)
             worst_rat = max(worst_rat, res)
 
     trig_reports = []
     for S in (0.5, 1.0, 1.5):
         rep = build_rep(S, TRIG)
-        trig_reports.append(pc.defect_spectrum_report(TRIG, rep, 0.73))
+        trig_reports.append(pc.defect_spectrum_report(rep, 0.73))
     trig_passed = [res <= tol for res, tol, _ in trig_reports]
     trig_ok = all(ok or "discrepancy" in details
                   for ok, (_, _, details) in zip(trig_passed, trig_reports))
@@ -304,14 +304,13 @@ def test_criterion_10_fusion_and_defect_field_form():
     to 1e-10; the defect-field closed form matches the transmission
     amplitude under the variable map to 1e-9."""
     data = amp.DefectRegimeData.from_params(ATT4, 1.0)
-    g = data.gamma
     worst_fusion = 0.0
     for lam in (0.3, 0.85, 1.6):
         worst_fusion = max(
             worst_fusion,
-            abs(amp.breather_S(2, 1, lam, g)
-                - amp.breather_S(1, 1, lam + 0.5j, g)
-                * amp.breather_S(1, 1, lam - 0.5j, g)),
+            abs(amp.breather_S(ATT4, 2, 1, lam)
+                - amp.breather_S(ATT4, 1, 1, lam + 0.5j)
+                * amp.breather_S(ATT4, 1, 1, lam - 0.5j)),
             abs(amp.breather_T(data, 2, lam)
                 - amp.breather_T(data, 1, lam + 0.5j)
                 * amp.breather_T(data, 1, lam - 0.5j)))
@@ -321,7 +320,7 @@ def test_criterion_10_fusion_and_defect_field_form():
         d = amp.DefectRegimeData.from_params(ATT4, 1.0)
         for lam_hat in (0.4 - 1j * offset, 1.3 - 1j * offset):
             z1, z2 = amp.corrigan_variables(d, lam_hat)
-            t_corr, _ = amp.corrigan_form(z1, z2, d.gamma)
+            t_corr, _ = amp.corrigan_form(z1, z2, d.params.gamma)
             t_amp = amp.transmission_amplitude(d, lam_hat).value
             worst_corr = max(worst_corr, abs(t_corr.value - t_amp))
     note(f"criterion 10: fusion worst {worst_fusion:.3e} (tol 1e-10), "

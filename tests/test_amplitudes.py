@@ -77,7 +77,7 @@ REP16 = ModelParameters.xxz(math.pi / 1.6, REPULSIVE)    # nu = 1.6, gamma = 5/3
 def test_regime_data_rational(xxx):
     data = DefectRegimeData.from_params(xxx, 1.5)
     assert data.params is xxx
-    assert (data.regime, data.gamma) == ("rational", 0.0)
+    assert data.regime == "rational"
     assert data.shifted_spin == 1.0
     assert data.branch_index == 0
     assert data.coupling is None
@@ -88,7 +88,7 @@ def test_regime_data_rational(xxx):
 def test_regime_data_repulsive(repulsive4):
     data = DefectRegimeData.from_params(repulsive4, 1.0)
     assert data.params is repulsive4
-    assert (data.regime, data.gamma) == (REPULSIVE, repulsive4.gamma)
+    assert data.regime == REPULSIVE
     assert data.branch_index == 0
     assert abs(data.shifted_spin - 0.5) < 1e-12
     data = DefectRegimeData.from_params(REP16, 2.0)
@@ -99,13 +99,10 @@ def test_regime_data_repulsive(repulsive4):
 def test_regime_data_attractive(attractive4):
     data = DefectRegimeData.from_params(attractive4, 1.0)
     assert data.params is attractive4
-    assert (data.regime, data.gamma) == (ATTRACTIVE, attractive4.gamma)
+    assert data.regime == ATTRACTIVE
     assert data.branch_index == 0
     assert data.shifted_spin == 0.0
     assert abs(data.coupling - (1.0 + 1.5)) < 1e-12
-    eta1, eta2 = data.breather_shifts
-    assert abs(eta1 - 1j * math.pi * 2.5 / 3.0) < 1e-12
-    assert abs(eta2 + 1j * math.pi * 2.5 / 3.0) < 1e-12
 
     data = DefectRegimeData.from_params(ATT16, 1.0)
     assert data.branch_index == 1
@@ -271,7 +268,7 @@ def test_transmission_duality_trig_branches(repulsive4, attractive4):
 def test_transmission_matrix_rational(xxx):
     data = DefectRegimeData.from_params(xxx, 1.5)  # shifted spin 1
     rep = shifted_spin_rep(data)
-    assert rep.spin == 1.0 and rep.deformation is None
+    assert rep.spin == 1.0 and rep.params.is_rational
     lam_hat = 0.8
     tmat = transmission_matrix(data, lam_hat)
     # eigenvalues cluster on T (multiplicity 2S~+2) and T2 (multiplicity 2S~)
@@ -300,7 +297,7 @@ def test_transmission_rtt(xxx, repulsive4):
 def _two_branch_blocks(rep, lam):
     # reference copy of the explicit sin/linear block formula
     lam = complex(lam)
-    mu = rep.deformation
+    mu = rep.params.mu
     if mu is None:
         eye = np.eye(rep.dim)
         return np.block([[(1j * lam + 0.5) * eye + rep.Sz, rep.Sm],
@@ -409,11 +406,12 @@ def _engine_grid(repulsive4, attractive4):
     for lam in lams:
         specs.append(kink_product_spec(1j * lam, g16))
         specs.append(transmission_product_spec_repulsive(
-            1j * rep.gamma * lam, rep.gamma, rep.shifted_spin, 0))
+            1j * rep.params.gamma * lam, rep.params.gamma,
+            rep.shifted_spin, 0))
         specs.append(transmission_product_spec_attractive(
             1j * lam, g16, att.coupling, 0))
         specs.append(corrigan_product_spec(
-            *corrigan_variables(cor, lam - 0.3j), cor.gamma))
+            *corrigan_variables(cor, lam - 0.3j), cor.params.gamma))
     return specs
 
 
@@ -488,7 +486,7 @@ def test_corrigan_matches_transmission(attractive4, offset):
     data = DefectRegimeData.from_params(attractive4, 1.0)
     for lam_hat in (0.4 - 1j * offset, 1.3 - 1j * offset):
         z1, z2 = corrigan_variables(data, lam_hat)
-        t_corr, rho = corrigan_form(z1, z2, data.gamma)
+        t_corr, rho = corrigan_form(z1, z2, data.params.gamma)
         t_amp = transmission_amplitude(data, lam_hat).value
         assert abs(t_corr.value - t_amp) < 1e-9
         assert rho.err < 1e-6
@@ -497,8 +495,8 @@ def test_corrigan_matches_transmission(attractive4, offset):
 def test_corrigan_errors_are_the_ladders_relative_error(attractive4):
     data = DefectRegimeData.from_params(attractive4, 1.0)
     z1, z2 = corrigan_variables(data, 0.4 - 0.3j)
-    t, rho = corrigan_form(z1, z2, data.gamma)
-    ladder = gamma_product(corrigan_product_spec(z1, z2, data.gamma))
+    t, rho = corrigan_form(z1, z2, data.params.gamma)
+    ladder = gamma_product(corrigan_product_spec(z1, z2, data.params.gamma))
     rel = ladder.err / abs(ladder.value)
     for av in (t, rho):
         assert abs(av.err / abs(av.value) / rel - 1.0) < 1e-9
@@ -543,8 +541,8 @@ def test_corrigan_needs_attractive(xxx):
 def test_corrigan_rho_symmetric(attractive4):
     data = DefectRegimeData.from_params(attractive4, 1.0)
     z1, z2 = corrigan_variables(data, 0.7)
-    _, rho_a = corrigan_form(z1, z2, data.gamma)
-    _, rho_b = corrigan_form(z2, z1, data.gamma)
+    _, rho_a = corrigan_form(z1, z2, data.params.gamma)
+    _, rho_b = corrigan_form(z2, z1, data.params.gamma)
     assert abs(rho_a.value - rho_b.value) < 1e-10 * abs(rho_a.value)
 
 
@@ -554,9 +552,8 @@ def test_corrigan_rho_symmetric(attractive4):
 
 
 def test_breather_S_duality(attractive4):
-    g = attractive4.gamma
     for lam in (0.3, 0.9, 2.2):
-        closed = breather_S(1, 1, lam, g)
+        closed = breather_S(attractive4, 1, 1, lam)
         integral = breather_S_by_integral(attractive4, lam).value
         assert abs(closed - integral) < 1e-9
 
@@ -570,10 +567,10 @@ def test_breather_T_duality(attractive4):
 
 
 def test_breather_fusion(attractive4):
-    g = attractive4.gamma
     lam = 0.85
-    fused = breather_S(2, 1, lam, g)
-    direct = breather_S(1, 1, lam + 0.5j, g) * breather_S(1, 1, lam - 0.5j, g)
+    fused = breather_S(attractive4, 2, 1, lam)
+    direct = (breather_S(attractive4, 1, 1, lam + 0.5j)
+              * breather_S(attractive4, 1, 1, lam - 0.5j))
     assert abs(fused - direct) < 1e-11
 
     data = DefectRegimeData.from_params(attractive4, 1.0)
@@ -583,9 +580,8 @@ def test_breather_fusion(attractive4):
 
 
 def test_breather_unitarity(attractive4):
-    g = attractive4.gamma
-    v = breather_S(1, 1, 0.6, g)
-    assert abs(v * breather_S(1, 1, -0.6, g) - 1.0) < 1e-11
+    v = breather_S(attractive4, 1, 1, 0.6)
+    assert abs(v * breather_S(attractive4, 1, 1, -0.6) - 1.0) < 1e-11
     assert abs(abs(v) - 1.0) < 1e-11
 
 
@@ -612,7 +608,7 @@ def test_integral_routes_refuse_complex_rapidity(xxx, attractive4, route,
 def test_breather_label_validation(attractive4):
     data = DefectRegimeData.from_params(attractive4, 1.0)
     with pytest.raises(DomainError):
-        breather_S(0, 1, 0.5, attractive4.gamma)
+        breather_S(attractive4, 0, 1, 0.5)
     with pytest.raises(DomainError):
         breather_T(data, 0, 0.5)
     with pytest.raises(DomainError):

@@ -413,6 +413,21 @@ def test_record_params_are_the_options_read(capsys, argv, read):
         assert set(rec["params"]) - RECORD_FIELDS == read
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "ybe", "--regime", "repulsive"],
+    ["amp", "kink", "--lambda", "0.3", "--regime", "attractive"],
+    ["verify", "ybe", "--mu", "0.3"],
+    ["chain", "diagonalize", "--N", "2", "--mu", "0.3"],
+], ids=" ".join)
+def test_isotropic_model_refuses_anisotropy_options(capsys, argv):
+    # --regime and --mu belong to xxz; xxx refuses them rather than echo an
+    # option it never reads
+    code, out, err = run_cli(capsys, [*argv, "--model", "xxx"])
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert argv[-2].lstrip("-") in json.loads(line)["error"]
+
+
 def test_branch_m_flag_rejected(capsys):
     err = usage_error(capsys, ["amp", "transmission", "--lambda", "0.4",
                                "--branch-m", "0"])

@@ -94,9 +94,9 @@ def test_lax_derivative_finite_difference(xxx, trig, S):
     for params in (xxx, trig):
         rep = build_rep(S, params)
         for lam in (0.2, 1.1 - 0.4j):
-            fd = (defect_lax(params, rep, lam + h)
-                  - defect_lax(params, rep, lam - h)) / (2 * h)
-            an = d_defect_lax(params, rep, lam)
+            fd = (defect_lax(rep, lam + h)
+                  - defect_lax(rep, lam - h)) / (2 * h)
+            an = d_defect_lax(rep, lam)
             assert np.max(np.abs(fd - an)) < 1e-8
 
 
@@ -109,15 +109,15 @@ def test_r_matrix_derivative_consistency(trig):
 def test_spin_half_lax_is_r_matrix(xxx, trig):
     for params in (xxx, trig):
         rep = build_rep(0.5, params)
-        assert np.max(np.abs(defect_lax(params, rep, 0.7)
+        assert np.max(np.abs(defect_lax(rep, 0.7)
                              - r_matrix(params, 0.7))) == 0.0
 
 
 def test_rational_lax_linear_in_lambda(xxx):
     rep = build_rep(1.5, xxx)
-    l0 = defect_lax(xxx, rep, 0.0)
-    l1 = defect_lax(xxx, rep, 1.0)
-    l_half = defect_lax(xxx, rep, 0.5)
+    l0 = defect_lax(rep, 0.0)
+    l1 = defect_lax(rep, 1.0)
+    l_half = defect_lax(rep, 0.5)
     assert np.max(np.abs(0.5 * (l0 + l1) - l_half)) < 1e-14
 
 
@@ -161,26 +161,26 @@ def test_rll_both_families(xxx, trig, S, rng):
         for _ in range(5):
             l1 = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
             l2 = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-            assert rll_residual(params, rep, l1, l2) < 1e-11
+            assert rll_residual(rep, l1, l2) < 1e-11
 
 
 def test_rll_residual_detects_perturbation(xxx, trig, monkeypatch):
     # the residual must not be trivially zero: poke one entry of L1(l1)
     for params in (xxx, trig):
         rep = build_rep(1.0, params)
-        clean = rll_residual(params, rep, 0.6, -0.4)
+        clean = rll_residual(rep, 0.6, -0.4)
         with monkeypatch.context() as m:
             m.setattr(lax_operators, "defect_lax",
                       _poked_lax(lax_operators.defect_lax, rep, 0.6))
-            poked = rll_residual(params, rep, 0.6, -0.4)
+            poked = rll_residual(rep, 0.6, -0.4)
         assert clean < 1e-12
         assert poked > 1e-4
 
 
 def _poked_lax(defect_lax, rep, lam):
     """defect_lax with 1e-3 added to entry (0, 1) of rep's matrix at lam."""
-    def poked(params, rep_, lam_):
-        mat = defect_lax(params, rep_, lam_)
+    def poked(rep_, lam_):
+        mat = defect_lax(rep_, lam_)
         if rep_ is rep and lam_ == lam:
             mat = mat.copy()
             mat[0, 1] += 1e-3

@@ -30,15 +30,15 @@ def _tfn(params, spin):
 def test_rational_defect_spectrum(xxx, S, lam):
     rep = build_rep(S, xxx)
     n = rep.dim
-    residual, _, _ = pc.defect_spectrum_report(xxx, rep, lam)
+    residual, _, _ = pc.defect_spectrum_report(rep, lam)
     assert residual <= 1e-12
-    vals = pc.closed_form_defect_eigenvalues(xxx, rep, lam)
+    vals = pc.closed_form_defect_eigenvalues(rep, lam)
     up, dn = complex(lam) + 0.5j * n, complex(lam) - 0.5j * n
     n_up = sum(1 for v in vals if abs(v - up) < 1e-12)
     n_dn = sum(1 for v in vals if abs(v - dn) < 1e-12)
     # the two levels split (n+1, n-1), consistent with trace = 2n lam + i n
     assert (n_up, n_dn) == (n + 1, n - 1)
-    tr = np.trace(defect_lax(xxx, rep, lam))
+    tr = np.trace(defect_lax(rep, lam))
     assert abs(tr - (2 * n * complex(lam) + 1j * n)) < 1e-12
     assert abs(sum(vals) - tr) < 1e-12
 
@@ -49,18 +49,18 @@ def test_rational_defect_spectrum(xxx, S, lam):
 def test_trig_defect_spectrum(S, mu, lam):
     params = ModelParameters.xxz(mu)
     rep = build_rep(S, params)
-    residual, _, _ = pc.defect_spectrum_report(params, rep, lam)
+    residual, _, _ = pc.defect_spectrum_report(rep, lam)
     assert residual <= 1e-12
 
 
 def test_spectrum_reports(xxx, trig):
     residual, tol, details = pc.defect_spectrum_report(
-        xxx, build_rep(1.0, xxx), 0.73)
+        build_rep(1.0, xxx), 0.73)
     assert residual <= tol == 1e-12
     assert "discrepancy" not in details
 
     residual, tol, details = pc.defect_spectrum_report(
-        trig, build_rep(0.5, trig), 0.7)
+        build_rep(0.5, trig), 0.7)
     assert residual <= tol == 1e-8
     assert "closed_form" in details and "diagonalized" in details
 
@@ -154,7 +154,7 @@ def test_m_matrix_casimir_renormalized_rep(repulsive4):
     # the repulsive transmission rep carries deformation pi*gamma, not mu
     data = amp.DefectRegimeData.from_params(repulsive4, 1.0)
     rep = amp.shifted_spin_rep(data)
-    assert abs(rep.deformation - math.pi / 3.0) < 1e-12
+    assert abs(rep.params.mu - math.pi / 3.0) < 1e-12
     worst = max(pc.m_matrix_casimir_identity(rep, x)
                 for x in (0.4, 1.1))
     assert worst <= 1e-12

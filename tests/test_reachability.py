@@ -1,5 +1,6 @@
 """Every public function and class in src/ has a caller outside the tests,
-and the two routes of each amplitude share no code.
+the two routes of each amplitude share no code, and no function takes the
+model twice.
 
 The walk goes by name over the source's syntax trees.  Its roots are
 cli.main (the console script), every module-level statement and every
@@ -115,3 +116,20 @@ def test_route_pairs_share_no_code():
         assert not extra, f"{product} and {integral} share {extra}"
         shared |= both
     assert set(SHARED) <= shared, "stale SHARED entry"
+
+
+def test_no_function_takes_the_model_twice():
+    """A rep, a defect's data and a chain each carry their model, so no
+    function takes params beside one of them.  The walk sees argument
+    names only: a second model under another name passes unseen."""
+    defs, _ = _definitions()
+    twice = []
+    for name, nodes in sorted(defs.items()):
+        for node in nodes:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = {a.arg for a in (*args.posonlyargs, *args.args,
+                                         *args.kwonlyargs)}
+                if "params" in names and names & {"rep", "data", "chain"}:
+                    twice.append(name)
+    assert not twice, f"take params beside rep, data or chain: {twice}"

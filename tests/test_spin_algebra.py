@@ -168,7 +168,7 @@ def test_spin_representation_dim_consistency(xxx):
         rep = build_rep(S, xxx)
         assert rep.dim == int(2 * S) + 1 == rep.Sz.shape[0]
     with pytest.raises(TypeError):
-        SpinRepresentation(spin=0.5, dim=3, deformation=None,
+        SpinRepresentation(spin=0.5, dim=3, params=xxx,
                            Sz=rep.Sz, Sp=rep.Sp, Sm=rep.Sm)
 
 
@@ -200,7 +200,7 @@ def test_casimir_refuses_broken_rep(params):
     rep = build_rep(1.0, params)
     sp = rep.Sp.copy()
     sp[0, 1] *= 1.1
-    broken = SpinRepresentation(spin=1.0, deformation=rep.deformation,
+    broken = SpinRepresentation(spin=1.0, params=params,
                                 Sz=rep.Sz, Sp=sp, Sm=rep.Sm)
     with pytest.raises(NotScalarError):
         casimir(broken)

@@ -197,7 +197,7 @@ def test_transfer_bulkless_chain_is_defect_lax_trace(xxx, trig):
     # N = 0: t(lam) = A + D, the aux-diagonal blocks of L(lam - theta)
     for params in (xxx, trig):
         chain = ChainSpec(N=0, defect_spin=1.0, params=params, theta=0.3)
-        lax = defect_lax(params, build_rep(1.0, params), 0.9 - 0.3)
+        lax = defect_lax(build_rep(1.0, params), 0.9 - 0.3)
         want = lax[:3, :3] + lax[3:, 3:]
         assert np.max(np.abs(transfer(chain, 0.9) - want)) < 1e-14
 
@@ -382,9 +382,9 @@ def _kron_hamiltonian(chain):
     for j in range(1, n_sites + 1):
         if j not in (prev_site, n):
             h += _kron_embed(rdot, dims, j - 1, j % n_sites)
-    m = _kron_embed(defect_lax(params, rep, -chain.theta), dims,
+    m = _kron_embed(defect_lax(rep, -chain.theta), dims,
                     next_site - 1, n - 1)
-    mdot = _kron_embed(d_defect_lax(params, rep, -chain.theta), dims,
+    mdot = _kron_embed(d_defect_lax(rep, -chain.theta), dims,
                        next_site - 1, n - 1)
     m_inv = np.linalg.inv(m)
     h += regularity_scale(params) * (mdot @ m_inv)
